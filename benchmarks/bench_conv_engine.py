@@ -1,21 +1,19 @@
-"""CONV-ENGINE bench: memory-layout conv engine + speculative monitoring.
+"""CONV-ENGINE bench: blocked-im2col conv engine + speculative monitoring.
 
 Artefact of this repo's PR 2 (not a paper figure): the convolution hot
-path was rebuilt as a layout-aware inference engine — blocked im2col
-into pooled scratch buffers, fused GEMM, float32 discipline end to end,
-an NHWC-internal option — and the decision loop gained a speculative
-check-ahead policy (``DecisionConfig.speculative_k``).  The Sec. V-B
-latency constraint (~5 s per Bayesian pass while the UAV falls on
-degraded control) makes every factor here directly widen the number of
-candidate zones the monitor can vet inside the same budget.
+path was rebuilt as an inference engine — blocked im2col into pooled
+scratch buffers, fused GEMM, float32 discipline end to end — and the
+decision loop gained a speculative check-ahead policy
+(``DecisionConfig.speculative_k``).  The Sec. V-B latency constraint
+(~5 s per Bayesian pass while the UAV falls on degraded control) makes
+every factor here directly widen the number of candidate zones the
+monitor can vet inside the same budget.
 
 Measured contracts:
 
-* the blocked engine is at par with the reference im2col+GEMM path at
-  the repro frame size (single-block regime) and pulls ahead as frames
-  grow (the cache-bound regime it exists for) — both are asserted;
-* the NHWC option is measured and recorded; NCHW stays the default at
-  these layer shapes;
+* per layer, the blocked inference engine (``conv2d_infer``) stays at
+  par with the training path's full im2col+GEMM (``conv2d_forward``) —
+  asserted within 1.4x (2.0x in smoke);
 * end-to-end ``LandingPipeline.run`` on monitored episodes (the ones
   that actually pay T=10 Bayesian passes) is >= 1.5x faster than the
   PR 1 baseline recorded below on the same container;
@@ -25,26 +23,7 @@ Measured contracts:
   scale its wall-clock is near parity (the joint pass trades
   over-checked zones against amortised fixed costs) — its real win is
   in the paper's latency model, where every avoided sequential attempt
-  is ~5 s of fall time;
-* the winograd F(2x2,3x3) mode (PR 4) is measured per layer, across
-  channel widths (the crossover study) and on the full-frame MC pass at
-  1x/2x frames, with a zero-verdict-flip certification smoke — the
-  full seeded gate lives in
-  ``tests/integration/test_winograd_certification.py``.  At this
-  model's 16-24 channel widths the mode sits below blocked parity on
-  this host (crossover ~C=48-96, run-to-run throttling noise); the gated ratio protects the certified
-  path from collapsing further.
-* the int8 mode (PR 8) is measured the same three ways — per layer,
-  across channel widths, and on the full-frame MC pass — plus a
-  per-layer quantisation-error sample (max-norm relative deviation vs
-  the reference engine) recorded alongside the timings, and a
-  decision-level zero-flip certification smoke (the full seeded gate
-  lives in ``tests/integration/test_int8_certification.py``).  Honest
-  verdict on this host: numpy has no integer GEMM (int32 matmul is
-  ~50x slower than BLAS sgemm), so the engine quantises into float32
-  codes and wins nothing from the narrower arithmetic — it sits at
-  ~0.9x blocked.  The certified interface is the point: a SIMD/GPU
-  integer backend slots in under an already-pinned error model.
+  is ~5 s of fall time.
 
 The numbers land in ``benchmarks/BENCH_conv_engine.json`` (full mode)
 and ``benchmarks/.smoke/BENCH_conv_engine.json`` (smoke mode, consumed
@@ -54,7 +33,6 @@ by the ``scripts/check.sh`` regression gate).
 import os
 
 import numpy as np
-import pytest
 from _bench_utils import best_of as _best_of
 from _bench_utils import write_bench_summary
 
@@ -63,20 +41,6 @@ from repro.nn import functional as F
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
-
-@pytest.fixture(autouse=True)
-def _pin_blocked_ambient():
-    """Pin the ambient engine to blocked for every bench here.
-
-    The blocked-side numbers (bat_s, seq_s, the pipeline timings) are
-    measured under the ambient default; without pinning, running the
-    bench under ``REPRO_CONV_ENGINE=winograd`` would silently record a
-    winograd-vs-winograd ratio as ``speedup_winograd_vs_blocked_*``.
-    Explicit ``conv_engine(...)`` contexts inside the benches still
-    override as intended.
-    """
-    with F.conv_engine(mode="blocked", layout="nchw"):
-        yield
 
 #: End-to-end timings of the PR 1 engine (commit a4bbde9) measured on
 #: this repo's reference container immediately before the conv-engine
@@ -88,17 +52,19 @@ PR1_BASELINE = {
     "provenance": "PR 1 HEAD (a4bbde9), 96x128/T=10, 1-core CPU",
 }
 
+
 def _conv_case(rng, n, cin, cout, h, w, stride=1, dilation=1):
+    """``(im2col path, blocked engine)`` callables on one layer shape."""
     x = rng.normal(size=(n, cin, h, w)).astype(np.float32)
     wt = rng.normal(size=(cout, cin, 3, 3)).astype(np.float32)
     b = rng.normal(size=cout).astype(np.float32)
     pad = dilation
-    return lambda: F.conv2d_infer(x, wt, b, stride, pad, dilation)
+    return (lambda: F.conv2d_forward(x, wt, b, stride, pad, dilation),
+            lambda: F.conv2d_infer(x, wt, b, stride, pad, dilation))
 
 
 def test_conv_engine_micro(benchmark, emit):
-    """Layer-shape micro-benchmark: reference / blocked / NHWC /
-    winograd."""
+    """Layer-shape micro-benchmark: full im2col path vs blocked."""
     rng = np.random.default_rng(0)
     scale = 2 if SMOKE else 1
     cases = [
@@ -112,101 +78,24 @@ def test_conv_engine_micro(benchmark, emit):
          _conv_case(rng, 6, 24, 6, 24 // scale, 32 // scale)),
     ]
     rows = []
-    times: dict[str, dict[str, float]] = {}
-    for name, fn in cases:
-        per_mode = {}
-        for mode, layout in (("reference", "nchw"), ("blocked", "nchw"),
-                             ("blocked", "nhwc"),
-                             ("winograd", "nchw"), ("int8", "nchw")):
-            with F.conv_engine(mode=mode, layout=layout):
-                per_mode[f"{mode}/{layout}"] = _best_of(fn)
-        times[name] = per_mode
-        rows.append([name] + [f"{v * 1000:.3f}"
-                              for v in per_mode.values()])
-    benchmark.pedantic(cases[0][1], rounds=1, iterations=1)
+    times: dict[str, tuple[float, float]] = {}
+    for name, (im2col_fn, blocked_fn) in cases:
+        times[name] = (_best_of(im2col_fn), _best_of(blocked_fn))
+        rows.append([name] + [f"{v * 1000:.3f}" for v in times[name]])
+        # Same numbers as the training path (bit for bit in the
+        # single-block regime, reassociation tolerance otherwise).
+        assert np.allclose(im2col_fn()[0], blocked_fn(), atol=1e-4), name
+    benchmark.pedantic(cases[0][1][1], rounds=1, iterations=1)
 
     emit("\n" + format_title(
         "CONV-ENGINE: blocked im2col engine, per-layer wall time"))
     emit(format_table(
-        ["layer shape", "reference (ms)", "blocked (ms)",
-         "nhwc (ms)", "winograd (ms)", "int8 (ms)"], rows))
+        ["layer shape", "im2col (ms)", "blocked (ms)"], rows))
 
-    # Equivalence across engines (reassociation tolerance; int8 is
-    # envelope-certified — see tests/nn/test_int8_equivalence.py).
-    x = rng.normal(size=(2, 8, 24, 32)).astype(np.float32)
-    wt = rng.normal(size=(8, 8, 3, 3)).astype(np.float32)
-    with F.conv_engine(mode="reference"):
-        ref = F.conv2d_infer(x, wt, None, 1, 1, 1)
-    with F.conv_engine(mode="blocked"):
-        blk = F.conv2d_infer(x, wt, None, 1, 1, 1)
-    with F.conv_engine(layout="nhwc"):
-        nhwc = F.conv2d_infer(x, wt, None, 1, 1, 1)
-    with F.conv_engine(mode="winograd"):
-        wg = F.conv2d_infer(x, wt, None, 1, 1, 1)
-    with F.conv_engine(mode="int8"):
-        q8 = F.conv2d_infer(x, wt, None, 1, 1, 1)
-    assert np.allclose(ref, blk, atol=1e-5)
-    assert np.allclose(ref, nhwc, atol=1e-4)
-    assert np.allclose(ref, wg, atol=1e-4)
-    assert float(np.abs(q8 - ref).max()) <= 4e-2 * np.abs(ref).max()
-
-    # The blocked engine must never regress materially vs reference.
-    for name, per_mode in times.items():
-        assert per_mode["blocked/nchw"] <= \
-            per_mode["reference/nchw"] * (2.0 if SMOKE else 1.4), name
-
-
-def test_winograd_channel_scaling(emit):
-    """Where F(2x2, 3x3) wins and where it cannot (measured).
-
-    The winograd engine trades a 2.25x GEMM-multiply cut against extra
-    staged memory passes through the transform domain.  On this host's
-    single-core roofline that trade only pays once the channel
-    contraction dominates — around C ~ 48-96 — while the repro model's
-    16-24-channel layers remain faster on the cache-fused blocked
-    engine.  This bench pins that crossover so the ROADMAP claim stays
-    measured rather than assumed.
-    """
-    rng = np.random.default_rng(1)
-    h, w = (24, 32) if SMOKE else (48, 64)
-    rows = []
-    ratios = {}
-    ratios_int8 = {}
-    for c in (8, 24, 48, 96):
-        n = 2
-        fn = _conv_case(rng, n, c, c, h, w)
-        with F.conv_engine(mode="blocked"):
-            blocked_s = _best_of(fn, repeats=3 if SMOKE else 5)
-        with F.conv_engine(mode="winograd"):
-            wino_s = _best_of(fn, repeats=3 if SMOKE else 5)
-        with F.conv_engine(mode="int8"):
-            fn()  # warm the per-weight quantisation cache
-            int8_s = _best_of(fn, repeats=3 if SMOKE else 5)
-        ratios[c] = blocked_s / wino_s
-        ratios_int8[c] = blocked_s / int8_s
-        rows.append([f"C={c} {h}x{w} N={n}",
-                     f"{blocked_s * 1000:.3f}",
-                     f"{wino_s * 1000:.3f}",
-                     f"{blocked_s / wino_s:.2f}x",
-                     f"{int8_s * 1000:.3f}",
-                     f"{blocked_s / int8_s:.2f}x"])
-    emit("\n" + format_title(
-        "CONV-ENGINE: winograd/int8 channel-width crossover"))
-    emit(format_table(
-        ["shape", "blocked (ms)", "winograd (ms)",
-         "blocked/winograd", "int8 (ms)", "blocked/int8"], rows))
-    # Sanity floor: winograd must stay in the same performance class
-    # as blocked at repro widths (it is an accuracy-certified option,
-    # not a pathological one), and must approach parity as channels
-    # grow toward the crossover.
-    assert ratios[24] >= (0.35 if SMOKE else 0.5), ratios
-    assert ratios[96] >= (0.55 if SMOKE else 0.75), ratios
-    # Int8 pays one activation-quantisation pass and then runs the same
-    # BLAS sgemm over codes (no integer GEMM in numpy), so its ratio is
-    # flat slightly below 1.0 at every width; the floor protects the
-    # certified path from collapsing, it does not claim a win.
-    assert ratios_int8[24] >= (0.3 if SMOKE else 0.5), ratios_int8
-    assert ratios_int8[96] >= (0.4 if SMOKE else 0.6), ratios_int8
+    # The blocked engine must never regress materially vs the full
+    # im2col path.
+    for name, (im2col_s, blocked_s) in times.items():
+        assert blocked_s <= im2col_s * (2.0 if SMOKE else 1.4), name
 
 
 def test_conv_engine_end_to_end(benchmark, system, emit):
@@ -238,76 +127,6 @@ def test_conv_engine_end_to_end(benchmark, system, emit):
         image, num_samples=t))
     bat_s = _best_of(lambda: segmenter.predict_distribution(
         image, num_samples=t))
-
-    # Larger-frame scaling point: where the blocked engine's cache
-    # tiling pays (the repro frame mostly fits a single block).
-    big = np.tile(image, (1, 2, 2))
-    with F.conv_engine(mode="reference"):
-        big_ref_s = _best_of(
-            lambda: segmenter.predict_deterministic(big), repeats=3)
-    big_blk_s = _best_of(
-        lambda: segmenter.predict_deterministic(big), repeats=3)
-
-    # Winograd engine: the full-frame MC pass at native and 2x frame
-    # size vs blocked — the certified F(2x2,3x3) option.  Measured
-    # honestly: at this model's 16-24 channel widths the staged
-    # transform passes outweigh the 2.25x multiply cut on this host
-    # (see test_winograd_channel_scaling for the crossover), so the
-    # ratio sits below 1.0; the gate protects the ratio from a further
-    # collapse of the winograd path.
-    with F.conv_engine(mode="blocked"):
-        big_mc_blk_s = _best_of(lambda: segmenter.predict_distribution(
-            big, num_samples=t), repeats=3)
-    with F.conv_engine(mode="winograd"):
-        wg_mc_s = _best_of(lambda: segmenter.predict_distribution(
-            image, num_samples=t))
-        wg_big_mc_s = _best_of(lambda: segmenter.predict_distribution(
-            big, num_samples=t), repeats=3)
-    with F.conv_engine(mode="int8"):
-        segmenter.predict_distribution(image, num_samples=1)  # warm cache
-        q8_mc_s = _best_of(lambda: segmenter.predict_distribution(
-            image, num_samples=t))
-        q8_big_mc_s = _best_of(lambda: segmenter.predict_distribution(
-            big, num_samples=t), repeats=3)
-
-    # Certification smoke: zero verdict flips between engines on the
-    # bench episodes, at the decision level (action/attempts/accepted —
-    # the statistics that feed them are envelope-certified; the full
-    # seeded gates live in tests/integration/test_*_certification.py).
-    def _fingerprints(mode):
-        pipeline = system.make_pipeline(rng=0)
-        with F.conv_engine(mode=mode):
-            runs = [pipeline.run(im) for im in monitored]
-        return [(r.decision.action, r.decision.attempts,
-                 tuple(v.accepted for v in r.verdicts)) for r in runs]
-
-    blocked_fingerprints = _fingerprints("blocked")
-    winograd_verdicts_identical = \
-        blocked_fingerprints == _fingerprints("winograd")
-    int8_verdicts_identical = \
-        blocked_fingerprints == _fingerprints("int8")
-
-    # Per-layer quantisation-error samples: max-norm relative deviation
-    # vs the reference engine on the micro-bench layer shapes — the
-    # recorded evidence behind each approximate mode's envelope claim
-    # (winograd ~1e-7, int8 ~1e-2; pinned in the equivalence suites).
-    err_rng = np.random.default_rng(17)
-    error_samples: dict[str, dict[str, float]] = {
-        "winograd": {}, "int8": {}}
-    for label, (cin, cout, eh, ew) in (
-            ("stem 3->24 96x128", (3, 24, 96, 128)),
-            ("stem 24->24 48x64", (24, 24, 48, 64)),
-            ("branch 24->6 24x32", (24, 6, 24, 32))):
-        ex = err_rng.normal(size=(2, cin, eh, ew)).astype(np.float32)
-        ewt = err_rng.normal(size=(cout, cin, 3, 3)).astype(np.float32)
-        with F.conv_engine(mode="reference"):
-            eref = F.conv2d_infer(ex, ewt, None, 1, 1, 1)
-        escale = float(np.abs(eref).max())
-        for mode in error_samples:
-            with F.conv_engine(mode=mode):
-                eout = F.conv2d_infer(ex, ewt, None, 1, 1, 1)
-            error_samples[mode][label] = \
-                float(np.abs(eout - eref).max()) / escale
 
     # Seeded equivalence: the engine must not change a single verdict.
     seq = system.make_segmenter(rng=7).predict_distribution_sequential(
@@ -341,31 +160,7 @@ def test_conv_engine_end_to_end(benchmark, system, emit):
          f"{run_spec_s * 1000:.2f} ms/frame "
          f"(sequential {run_mon_s * 1000:.2f}; near parity at repro "
          "scale — the win is attempt-budget seconds, see module doc)")
-    emit(f"2x frame deterministic pass: reference "
-         f"{big_ref_s * 1000:.2f} ms -> blocked "
-         f"{big_blk_s * 1000:.2f} ms "
-         f"({big_ref_s / big_blk_s:.2f}x)")
     emit(f"bit-for-bit batched == sequential: {bit_for_bit}")
-    emit(f"winograd full-frame MC pass T={t}: blocked "
-         f"{bat_s * 1000:.2f} ms -> winograd {wg_mc_s * 1000:.2f} ms "
-         f"({bat_s / wg_mc_s:.2f}x); 2x frame {big_mc_blk_s * 1000:.2f}"
-         f" -> {wg_big_mc_s * 1000:.2f} ms "
-         f"({big_mc_blk_s / wg_big_mc_s:.2f}x) — below parity at this "
-         "model's channel widths (measured crossover ~C=48-96, see the "
-         "channel-scaling bench); verdicts identical: "
-         f"{winograd_verdicts_identical}")
-    emit(f"int8 full-frame MC pass T={t}: blocked "
-         f"{bat_s * 1000:.2f} ms -> int8 {q8_mc_s * 1000:.2f} ms "
-         f"({bat_s / q8_mc_s:.2f}x); 2x frame "
-         f"{big_mc_blk_s * 1000:.2f} -> {q8_big_mc_s * 1000:.2f} ms "
-         f"({big_mc_blk_s / q8_big_mc_s:.2f}x) — no integer GEMM in "
-         "numpy, so the quantised path pays its rounding pass and "
-         "rides the same sgemm (see module doc); decision-level "
-         f"verdicts identical: {int8_verdicts_identical}")
-    emit("quantisation-error samples (max-norm rel vs reference): "
-         + "; ".join(
-             f"{mode} worst {max(samples.values()):.2e}"
-             for mode, samples in error_samples.items()))
 
     summary = {
         "image_shape": list(image.shape),
@@ -377,39 +172,15 @@ def test_conv_engine_end_to_end(benchmark, system, emit):
         "run_monitored_speculative_k2_ms": run_spec_s * 1000,
         "predict_distribution_ms": bat_s * 1000,
         "predict_distribution_sequential_ms": seq_s * 1000,
-        "big_frame_det_reference_ms": big_ref_s * 1000,
-        "big_frame_det_blocked_ms": big_blk_s * 1000,
-        "winograd_mc_ms": wg_mc_s * 1000,
-        "winograd_big_frame_mc_ms": wg_big_mc_s * 1000,
-        "int8_mc_ms": q8_mc_s * 1000,
-        "int8_big_frame_mc_ms": q8_big_mc_s * 1000,
-        "big_frame_mc_blocked_ms": big_mc_blk_s * 1000,
         "speedup_monitored_vs_pr1": mon_speedup,
         "speedup_all_frames_vs_pr1": all_speedup,
         "speedup_distribution_vs_pr1": dist_speedup,
         "speedup_batched_vs_sequential": seq_s / bat_s,
-        "speedup_big_frame_blocked_vs_reference": big_ref_s / big_blk_s,
-        "speedup_winograd_vs_blocked_mc": bat_s / wg_mc_s,
-        "speedup_winograd_vs_blocked_mc_2x": big_mc_blk_s / wg_big_mc_s,
-        "speedup_int8_vs_blocked_mc": bat_s / q8_mc_s,
-        "speedup_int8_vs_blocked_mc_2x": big_mc_blk_s / q8_big_mc_s,
-        "winograd_verdicts_identical": winograd_verdicts_identical,
-        "int8_verdicts_identical": int8_verdicts_identical,
-        "quantisation_error_samples": error_samples,
         "bit_for_bit_equal": bit_for_bit,
-        "conv_engine": F.get_conv_engine(),
     }
     write_bench_summary("BENCH_conv_engine.json", summary, smoke=SMOKE)
 
     assert bit_for_bit, "conv engine diverged from sequential reference"
-    assert winograd_verdicts_identical, \
-        "winograd engine flipped a monitor verdict on the bench episodes"
-    assert int8_verdicts_identical, \
-        "int8 engine flipped a decision on the bench episodes"
-    # The recorded error samples must sit inside the certified
-    # envelopes (winograd 1e-5, int8 4e-2; see the equivalence suites).
-    assert max(error_samples["winograd"].values()) <= 1e-5
-    assert max(error_samples["int8"].values()) <= 4e-2
     assert seq_s / bat_s >= (1.0 if SMOKE else 2.0), (
         f"batched engine only {seq_s / bat_s:.2f}x vs sequential")
     if not SMOKE:
@@ -425,8 +196,6 @@ def test_conv_engine_end_to_end(benchmark, system, emit):
             f"end-to-end monitored speedup {mon_speedup:.2f}x vs the "
             "PR 1 baseline — below the throttle-adjusted floor (clean "
             "runs measure ~1.7x; see BENCH_conv_engine.json)")
-        assert big_ref_s / big_blk_s >= 1.1, (
-            "blocked engine lost its large-frame advantage")
 
 
 def test_speculative_decisions_stay_budget_identical(system, emit):

@@ -14,8 +14,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== static analysis (repro-lint, strict) =="
 # First stage by design: the AST linter fails in seconds on a
 # certification-contract violation (global-state RNG, float64 on the
-# inference path, unrestored engine flips, fork-task global writes,
-# undocumented knobs) before any test runs.
+# inference path, stray environment reads or writes, fork-task global
+# writes, undocumented knobs) before any test runs.
 python -m repro.analysis --strict
 
 echo
@@ -23,47 +23,25 @@ echo "== tier-1 tests =="
 python -m pytest tests -q -x
 
 echo
-echo "== tier-1 smoke under the winograd conv engine =="
-# The winograd engine is tolerance-certified, not bit-for-bit; the
-# certification harness plus the conv-adjacent suites must also hold
-# with winograd as the process-default engine (REPRO_CONV_ENGINE is
-# honoured by nn.functional.reset_conv_engine at import).  Smoke form:
-# the suites that actually exercise convolution end to end.
-REPRO_CONV_ENGINE=winograd python -m pytest \
-    tests/nn tests/segmentation tests/core tests/integration -q -x
+# The non-bit-exact monitor modes, each re-run as the process default
+# over the suites that touch it (certification harness included):
+# toggle -> suites.  REPRO_MONITOR_SHARED=1 reroutes every joint
+# monitoring path through the shared-context union planner;
+# REPRO_MONITOR_ADAPTIVE=1 turns the certified sequential stopping rule
+# on for every monitoring path.  repro.core.monitor honours both per
+# call.
+MODE_RERUNS=(
+    "REPRO_MONITOR_SHARED tests/core tests/segmentation tests/integration"
+    "REPRO_MONITOR_ADAPTIVE tests/core tests/integration"
+)
+for rerun in "${MODE_RERUNS[@]}"; do
+    read -r toggle suites <<< "$rerun"
+    echo "== tier-1 rerun under ${toggle}=1 =="
+    # shellcheck disable=SC2086  # $suites is a word list on purpose
+    env "${toggle}=1" python -m pytest $suites -q -x
+    echo
+done
 
-echo
-echo "== tier-1 smoke under the int8 conv engine =="
-# The quantised engine's envelope is ~1e-2 (vs winograd's ~1e-5), so
-# this stage is the strongest ambient-engine soak: every conv-adjacent
-# suite — the decision-level certification harness included — must
-# hold with int8 as the process-default engine.
-REPRO_CONV_ENGINE=int8 python -m pytest \
-    tests/nn tests/segmentation tests/core tests/integration -q -x
-
-echo
-echo "== tier-1 monitor suites under the shared-context engine =="
-# Shared-context monitoring (union-crop planning + temporal stem
-# reuse) is the second non-bit-exact mode; REPRO_MONITOR_SHARED=1
-# reroutes every joint monitoring path through the union planner
-# (repro.core.monitor honours it per call), so the monitor-touching
-# suites — certification harness included — must also hold with the
-# shared engine as the process default.
-REPRO_MONITOR_SHARED=1 python -m pytest \
-    tests/core tests/segmentation tests/integration -q -x
-
-echo
-echo "== tier-1 monitor suites under the adaptive early-exit engine =="
-# Adaptive-T early-exit monitoring is the third non-bit-exact mode:
-# REPRO_MONITOR_ADAPTIVE=1 turns the certified sequential stopping
-# rule on for every monitoring path (repro.core.monitor honours it per
-# call), so the monitor-touching suites — certification harness
-# included — must also hold with adaptive sampling as the process
-# default.
-REPRO_MONITOR_ADAPTIVE=1 python -m pytest \
-    tests/core tests/integration -q -x
-
-echo
 echo "== serving self-check + fault drill (repro.serve doctor) =="
 # The doctor exercises the serving stack end to end on the tiny
 # trained system: fork availability, shared-memory frame round trip,

@@ -1,8 +1,8 @@
 """Static enforcement of the repro's certification contracts.
 
 Every speedup this reproduction ships is sold on a contract —
-bit-for-bit seeded equivalence (PRs 1-3), a pinned fp32 error envelope
-(PR 4), zero Fig. 4 / safety-book flips (PRs 4-5).  Those contracts
+bit-for-bit seeded equivalence (PRs 1-3), a pinned fp32 moment envelope
+and zero Fig. 4 / safety-book flips (PRs 5 and 7).  Those contracts
 are guarded at runtime by the test matrix, but a single stray
 ``np.random.seed``, a silent float64 promotion past the
 ``Module.__call__`` firewall, or a module-global cache mutated inside
@@ -22,9 +22,9 @@ Shipped rules (``python -m repro.analysis --list-rules``):
   float64-introducing patterns in the inference-path packages, with a
   documented allowlist for the deliberate float64 islands.
 * **Engine-mode hygiene** (:mod:`repro.analysis.checkers.engine_mode`)
-  — process-global engine state (``set_conv_engine``,
-  ``REPRO_CONV_ENGINE``, ``REPRO_MONITOR_SHARED``) must always be
-  restored; environment reads stay at their sanctioned sites.
+  — environment toggles (``REPRO_MONITOR_SHARED``,
+  ``REPRO_MONITOR_ADAPTIVE``, ...) are read only at their sanctioned
+  sites and never mutated directly.
 * **Fork-pool purity** (:mod:`repro.analysis.checkers.fork_purity`) —
   functions dispatched to ``EpisodeScheduler``'s fork pool must not
   write module-level state.

@@ -3,10 +3,10 @@
 PR 2 rebuilt the inference stack on strict float32 discipline — the
 ``Module.__call__`` boundary casts inputs once, and everything
 downstream (im2col, GEMM, batch-norm folding, resize, softmax) is
-dtype-preserving.  PR 4's winograd envelope and PR 5's moment envelope
-are *measured in* and *certified for* float32: a stray float64
-promotion silently doubles memory traffic and invalidates the
-certified error models without failing a single seeded test.
+dtype-preserving.  PR 5's moment envelope is *measured in* and
+*certified for* float32: a stray float64 promotion silently doubles
+memory traffic and invalidates the certified error model without
+failing a single seeded test.
 
 Scope: the inference-path packages ``repro.nn``, ``repro.segmentation``
 and ``repro.core``.  Four rules:
@@ -20,18 +20,16 @@ and ``repro.core``.  Four rules:
 * ``FP32-INT8-QUANT`` — ``np.int8`` / ``np.int16`` / ``np.int32`` (as
   attributes or ``.astype`` strings).  Quantised-integer tensors on
   the inference path change the certified working precision exactly
-  like a float64 promotion does — an int8 engine is only as
-  trustworthy as its documented error model, so every use must sit in
-  a declared quantisation island.  (``np.uint8`` pool-count masks and
-  ``np.int64``/``np.intp`` index vectors are not value quantisation
-  and stay legal.)
+  like a float64 promotion does, and the inference path has no
+  quantised engine, so this rule has no island.  (``np.uint8``
+  pool-count masks and ``np.int64``/``np.intp`` index vectors are not
+  value quantisation and stay legal.)
 
-The *documented islands* — places that deliberately leave float32 and
-cast (or carry a certified error model) at a single boundary — are
-allowlisted below with their justification: ``FLOAT64_ISLANDS`` for
-full-precision computation, ``INT8_ISLANDS`` for deliberate
-quantisation.  Anything new either stays float32 or earns an inline
-``# repro-lint: disable=...`` with a one-line reason.
+The *documented float64 islands* — places that deliberately leave
+float32 and cast at a single boundary — are allowlisted in
+``FLOAT64_ISLANDS`` with their justification.  Anything new either
+stays float32 or earns an inline ``# repro-lint: disable=...`` with a
+one-line reason.
 """
 
 from __future__ import annotations
@@ -67,14 +65,6 @@ FLOAT64_ISLANDS: tuple[tuple[str, str | None, str], ...] = (
     ("src/repro/nn/losses.py", "class_weights_from_frequencies",
      "class-frequency statistics (training-time, off the inference "
      "path); the loss itself casts back to the logit dtype"),
-    ("src/repro/nn/functional.py", "_winograd_filter_compute",
-     "the cached, off-hot-path filter transform is computed at full "
-     "precision and rounded to the working dtype once"),
-    ("src/repro/nn/quant.py", None,
-     "int8 weight scales/codes are computed off the hot path at full "
-     "precision and cast once, like the winograd filter transform; "
-     "error_bound is evaluation-time analysis, never on the tensor "
-     "path"),
     ("src/repro/nn/functional.py", "linear_resize_weights",
      "resize weights: fractional coordinates in float64, single cast "
      "on the final memoised weight matrix"),
@@ -93,19 +83,6 @@ FLOAT64_ISLANDS: tuple[tuple[str, str | None, str], ...] = (
     ("src/repro/core/landing_zone.py", "LandingZoneSelector",
      "clearance maps are metric distances (metres), not tensors; "
      "scipy's distance transform returns float64"),
-)
-
-#: The documented int8 islands, same shape as :data:`FLOAT64_ISLANDS`:
-#: the places allowed to create quantised-integer tensors, because the
-#: quantisation they perform is the one certified by the int8 engine's
-#: error model (repro.nn.quant module docstring; envelope pinned in
-#: tests/nn/test_int8_equivalence.py).  An int8 array anywhere else on
-#: the inference path is an undeclared precision change and flags.
-INT8_ISLANDS: tuple[tuple[str, str | None, str], ...] = (
-    ("src/repro/nn/quant.py", None,
-     "the quantisation module itself: per-channel symmetric weight "
-     "codes and the saturating int8 cast — the certified error model "
-     "documents exactly these casts"),
 )
 
 #: Constructors whose numpy default dtype is not float32.
@@ -133,22 +110,22 @@ class Fp32FirewallChecker(BaseChecker):
         Rule("FP32-FLOAT64",
              "np.float64 on the inference path outside a documented "
              "island",
-             contract="fp32 error envelopes (PR 2 discipline, PR 4 "
-                      "winograd, PR 5 moments)"),
+             contract="fp32 error envelopes (PR 2 discipline, PR 5 "
+                      "moments)"),
         Rule("FP32-DTYPELESS",
              "numpy constructor without an explicit dtype in the "
              "firewall scope",
-             contract="fp32 error envelopes (PR 2 discipline, PR 4 "
-                      "winograd, PR 5 moments)"),
+             contract="fp32 error envelopes (PR 2 discipline, PR 5 "
+                      "moments)"),
         Rule("FP32-ASTYPE-WIDEN",
              ".astype to float64/builtin float on the inference path",
-             contract="fp32 error envelopes (PR 2 discipline, PR 4 "
-                      "winograd, PR 5 moments)"),
+             contract="fp32 error envelopes (PR 2 discipline, PR 5 "
+                      "moments)"),
         Rule("FP32-INT8-QUANT",
              "quantised-integer dtype (np.int8/int16/int32) on the "
-             "inference path outside a documented quantisation island",
-             contract="int8 engine error model (repro.nn.quant; "
-                      "envelope in tests/nn/test_int8_equivalence.py)"),
+             "inference path",
+             contract="fp32 working precision of the inference path "
+                      "(no quantised engine)"),
     )
 
     def check(self, ctx: CheckContext):
@@ -201,13 +178,10 @@ class _Fp32Visitor(ScopedVisitor):
             self._report(
                 node, "FP32-INT8-QUANT",
                 f"{name.replace('numpy.', 'np.')} on the inference "
-                "path outside a quantisation island",
-                hint="quantised tensors belong to the certified int8 "
-                     "engine — route through repro.nn.quant, or "
-                     "document the island in repro.analysis.checkers."
-                     "fp32.INT8_ISLANDS / add an inline justified "
-                     "disable",
-                islands=INT8_ISLANDS)
+                "path",
+                hint="keep tensors float32, or add an inline "
+                     "justified disable",
+                islands=())
         self.generic_visit(node)
 
     # -- dtype-less constructors and astype ---------------------------
@@ -247,14 +221,10 @@ class _Fp32Visitor(ScopedVisitor):
                     and target.value in _QUANT_INT_STRINGS:
                 self._report(
                     node, "FP32-INT8-QUANT",
-                    f".astype({target.value!r}) on the inference path "
-                    "outside a quantisation island",
-                    hint="quantised tensors belong to the certified "
-                         "int8 engine — route through repro.nn.quant, "
-                         "or document the island in repro.analysis."
-                         "checkers.fp32.INT8_ISLANDS / add an inline "
+                    f".astype({target.value!r}) on the inference path",
+                    hint="keep tensors float32, or add an inline "
                          "justified disable",
-                    islands=INT8_ISLANDS)
+                    islands=())
         self.generic_visit(node)
 
     @staticmethod

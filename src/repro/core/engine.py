@@ -9,10 +9,9 @@ runs N such episodes through the segment -> select -> monitor -> decide
 stages with cross-episode batching:
 
 * **Core segmentation** of every frame of every episode runs as one
-  chunked batched forward per frame shape (the ``run_batch`` trick
-  extended across streams).  Convolution and friends are
-  batch-element-deterministic, so per-frame labels are bit-for-bit
-  those of single-frame calls.
+  chunked batched forward per frame shape, across streams.
+  Convolution and friends are batch-element-deterministic, so
+  per-frame labels are bit-for-bit those of single-frame calls.
 * **Monitoring** defaults to ``exact`` mode: each episode keeps its own
   seeded monitor RNG stream and its checks run in frame order, so with
   ``workers=1`` the engine's results are bit-for-bit identical to
@@ -57,8 +56,7 @@ stages with cross-episode batching:
   only the stochastic suffix is recomputed).  The fastest monitoring
   path on overlap-heavy fleets; certified against the exact engine by
   ``tests/integration/test_shared_context_certification.py`` (moment
-  envelope + zero verdict/decision flips on the seeded presets,
-  following the PR 4 winograd template).
+  envelope + zero verdict/decision flips on the seeded presets).
 
 * **Adaptive early-exit monitoring** (``MonitorConfig.adaptive`` or
   ``REPRO_MONITOR_ADAPTIVE=1``) composes with the joint and shared
@@ -72,9 +70,10 @@ stages with cross-episode batching:
   in :attr:`EpisodeScheduler.last_adaptive_stats`.
 
 :class:`EngineConfig` is the one documented home for the engine/monitor
-performance knobs that used to be spread over three entry points
-(``BayesianSegmenter(max_batch=...)``, ``check_zones(joint=...)`` +
-``DecisionConfig.speculative_k``, and ``nn.functional.set_conv_engine``).
+performance knobs that used to be spread over two entry points
+(``BayesianSegmenter(max_batch=...)`` and ``check_zones(joint=...)`` +
+``DecisionConfig.speculative_k``).  Convolution has no knobs: inference
+always runs :func:`repro.nn.functional.conv2d_infer`'s blocked im2col.
 """
 
 from __future__ import annotations
@@ -98,12 +97,6 @@ from repro.core.pipeline import (
     LandingPipeline,
     PipelineConfig,
     PipelineResult,
-)
-from repro.nn.functional import (
-    CONV_ENGINE_LAYOUTS,
-    CONV_ENGINE_MODES,
-    get_conv_engine,
-    set_conv_engine,
 )
 from repro.segmentation.bayesian import BayesianSegmenter
 from repro.utils.geometry import Box
@@ -140,8 +133,7 @@ class EngineConfig:
         overlap (see the module docstring and
         ``benchmarks/bench_episode_engine.py``).  The
         ``REPRO_MONITOR_SHARED=1`` environment toggle upgrades
-        ``"joint"`` to ``"shared"`` at run time (mirroring
-        ``REPRO_CONV_ENGINE``).
+        ``"joint"`` to ``"shared"`` at run time.
     joint_max_batch:
         Chunk size for the joint cross-episode passes only.  Zone
         crops are much smaller than full frames, so their sweet spot
@@ -201,25 +193,6 @@ class EngineConfig:
         comparison, so reuse is bit-exact given the same window
         stream).  On by default; ``False`` recomputes every stem — the
         reference the reuse is benchmarked and tested against.
-    conv_mode / conv_layout / conv_block_kib:
-        Forwarded to :func:`repro.nn.functional.set_conv_engine` when
-        set (process-global, like that function).  ``mode="winograd"``
-        selects the F(2x2, 3x3) engine — tolerance-certified rather
-        than bit-for-bit against reference/blocked (see the accuracy
-        contracts in :mod:`repro.nn.functional` and the certification
-        harness in ``tests/nn/test_winograd_equivalence.py`` /
-        ``tests/integration/test_winograd_certification.py``).
-        ``mode="int8"`` selects the quantised engine — per-channel
-        int8 weights, dynamic per-sample activations, exact integer
-        accumulation; its own certification harness lives in
-        ``tests/nn/test_int8_equivalence.py`` /
-        ``tests/integration/test_int8_certification.py``.
-    conv_int8_min_kernel:
-        Minimum kernel footprint ``kh*kw`` the int8 engine accepts,
-        forwarded to :func:`repro.nn.functional.set_conv_engine` when
-        set.  The engine default (2) excludes 1x1 convolutions, where
-        the quantise/dequant passes dominate (measured 0.3-0.6x);
-        ``1`` opts them in, e.g. under a future integer-GEMM backend.
     """
 
     max_batch: int = 6
@@ -232,10 +205,6 @@ class EngineConfig:
     speculative_k: int | None = None
     overlap_budget: float | None = None
     temporal_reuse: bool = True
-    conv_mode: str | None = None
-    conv_layout: str | None = None
-    conv_block_kib: int | None = None
-    conv_int8_min_kernel: int | None = None
 
     def __post_init__(self):
         check_positive("max_batch", self.max_batch)
@@ -260,37 +229,8 @@ class EngineConfig:
             check_positive("speculative_k", self.speculative_k)
         if self.overlap_budget is not None and self.overlap_budget <= 0:
             raise ValueError("overlap_budget must be positive")
-        # Conv-engine knobs are validated eagerly so a bad mode fails
-        # at construction, not at the first forward pass deep inside a
-        # scheduler run.
-        if self.conv_mode is not None and \
-                self.conv_mode not in CONV_ENGINE_MODES:
-            raise ValueError(
-                f"conv_mode must be one of {CONV_ENGINE_MODES}, "
-                f"got {self.conv_mode!r}")
-        if self.conv_layout is not None and \
-                self.conv_layout not in CONV_ENGINE_LAYOUTS:
-            raise ValueError(
-                f"conv_layout must be one of {CONV_ENGINE_LAYOUTS}, "
-                f"got {self.conv_layout!r}")
-        if self.conv_block_kib is not None and int(self.conv_block_kib) < 1:
-            raise ValueError("conv_block_kib must be >= 1")
-        if self.conv_int8_min_kernel is not None \
-                and int(self.conv_int8_min_kernel) < 1:
-            raise ValueError("conv_int8_min_kernel must be >= 1")
 
     # ------------------------------------------------------------------
-    def apply_conv_engine(self) -> dict:
-        """Apply the conv-engine knobs; returns the active config."""
-        if (self.conv_mode is not None or self.conv_layout is not None
-                or self.conv_block_kib is not None
-                or self.conv_int8_min_kernel is not None):
-            return set_conv_engine(
-                mode=self.conv_mode, layout=self.conv_layout,
-                block_kib=self.conv_block_kib,
-                int8_min_kernel=self.conv_int8_min_kernel)
-        return get_conv_engine()
-
     def effective_monitor_batching(self) -> str:
         """The batching mode after the environment toggle.
 
@@ -407,7 +347,6 @@ class EpisodeScheduler:
     def __init__(self, model, config: PipelineConfig | None = None,
                  engine: EngineConfig | None = None, rng=None):
         self.engine = engine or EngineConfig()
-        self.engine.apply_conv_engine()
         self.config = self.engine.pipeline_config(
             config or PipelineConfig())
         self.model = model
@@ -560,7 +499,7 @@ class EpisodeScheduler:
         ]
 
     def run_frames(self, frames, seed=0, name="") -> list[PipelineResult]:
-        """One episode over ``frames``; the ``run_batch`` replacement.
+        """One episode over ``frames``.
 
         With the default exact mode this reproduces
         ``LandingPipeline(model, config, rng=seed)`` running the frames

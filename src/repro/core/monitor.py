@@ -8,7 +8,10 @@ plus three posterior standard deviations, estimated by Monte-Carlo
 dropout — stays below the threshold ``tau`` for **each of the three
 UAVid classes that make up the busy-road category**.  With 8 classes
 the paper picks ``tau = 0.125``, "to make sure that the road score is
-lower than a random guess".
+lower than a random guess".  The rule fails closed: every threshold
+test is written ``~(x <= tau)``, so a non-finite statistic (a NaN or
+infinite frame drives the moments to NaN) counts as unsafe and its
+zone is rejected.
 
 Following Fig. 2, the monitor runs on *sub-images* (the candidate zone
 plus its drift buffer), not on the full frame — the full-frame Bayesian
@@ -430,7 +433,9 @@ class RuntimeMonitor:
         s = cfg.sigma_multiplier
         tau = cfg.tau
         limit = cfg.max_unsafe_fraction
-        point_unsafe = (mu + s * sd > tau).any(axis=0)
+        # Every threshold test below is written ``~(x <= tau)`` so a
+        # non-finite statistic counts as unsafe (fails closed).
+        point_unsafe = (~(mu + s * sd <= tau)).any(axis=0)
         point_accept = float(point_unsafe.mean()) <= limit
 
         width = cfg.adaptive_margin * (sd + _ADAPTIVE_WIDTH_FLOOR)
@@ -444,7 +449,7 @@ class RuntimeMonitor:
         sq_k = (acc_sq + ks * hi * hi + (r - ks) * lo * lo) / budget
         upper = mean_k + s * np.sqrt(
             np.maximum(sq_k - mean_k ** 2, 0.0))
-        may_unsafe = (upper.max(axis=0) > tau).any(axis=0)
+        may_unsafe = (~(upper.max(axis=0) <= tau)).any(axis=0)
         if float(may_unsafe.mean()) <= limit:
             # Even if every not-provably-safe pixel ends unsafe the
             # zone is accepted; exit once the running verdict agrees.
@@ -454,7 +459,8 @@ class RuntimeMonitor:
         mean_hi = (acc + r * hi) / budget
         var_lb = np.maximum(
             (acc_sq + r * lo * lo) / budget - mean_hi ** 2, 0.0)
-        must_unsafe = (mean_lo + s * np.sqrt(var_lb) > tau).any(axis=0)
+        must_unsafe = (~(mean_lo + s * np.sqrt(var_lb) <= tau)).any(
+            axis=0)
         if float(must_unsafe.mean()) > limit:
             # Even if every uncertain pixel ends safe the zone is
             # rejected; exit once the running verdict agrees.
@@ -465,10 +471,11 @@ class RuntimeMonitor:
     def unsafe_pixels(self, distribution: PixelDistribution) -> np.ndarray:
         """Apply Eq. (2) to a pixel distribution.
 
-        A pixel is *unsafe* when ``mu_k + s * sigma_k > tau`` for any
-        busy-road class ``k`` — the complement of the paper's safety
+        A pixel is *unsafe* when ``mu_k + s * sigma_k <= tau`` fails for
+        any busy-road class ``k`` — the complement of the paper's safety
         condition, which requires the inequality to hold "for the three
-        UAVid categories that make up the busy road category".
+        UAVid categories that make up the busy road category".  A NaN
+        statistic fails the inequality, so it counts as unsafe.
         """
         return self.unsafe_from_upper(
             distribution.upper_confidence(self.config.sigma_multiplier))
@@ -479,13 +486,16 @@ class RuntimeMonitor:
         ``upper`` is ``(..., C, H, W)`` — a single crop or a stack of
         crops (the episode engine's joint pass evaluates the rule over
         all stacked crops at once).  The single home of the rule: any
-        change here reaches every monitoring path.
+        change here reaches every monitoring path.  The test is written
+        ``~(upper <= tau)`` rather than ``upper > tau`` so that NaN
+        scores (from a non-finite frame) are unsafe: the monitor fails
+        closed.
         """
         cfg = self.config
         unsafe = np.zeros(upper.shape[:-3] + upper.shape[-2:],
                           dtype=bool)
         for cls in cfg.road_classes:
-            unsafe |= upper[..., int(cls), :, :] > cfg.tau
+            unsafe |= ~(upper[..., int(cls), :, :] <= cfg.tau)
         return unsafe
 
     def _model_stride(self) -> int:

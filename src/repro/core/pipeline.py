@@ -24,18 +24,15 @@ stage implementations (``_finish_episode`` and the decision cursor)
 across many concurrent frame streams with cross-episode batching and
 optional worker sharding.  The engine's performance knobs live in one
 place, :class:`repro.core.engine.EngineConfig`, which can be handed to
-this class via ``engine=``.
-
-``run_batch`` predates the engine and is deprecated: it serves one
-multi-frame episode with a batched core segmentation, which
-``EpisodeScheduler.run_frames`` reproduces bit for bit (same seeded
-monitor stream) while also handling many concurrent episodes.
+this class via ``engine=``.  A multi-frame episode with one batched
+core segmentation is ``EpisodeScheduler.run_frames``, which reproduces
+a per-frame :meth:`LandingPipeline.run` loop bit for bit (same seeded
+monitor stream).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +89,7 @@ class LandingPipeline:
         ``engine`` optionally carries a
         :class:`repro.core.engine.EngineConfig`, the single documented
         home of the performance knobs (batched-forward chunk size,
-        speculative check-ahead, conv-engine mode); it is applied here
+        speculative check-ahead, monitor batching); it is applied here
         so single-episode and engine-scheduled runs share one config
         path.
         """
@@ -103,7 +100,6 @@ class LandingPipeline:
         # union-crop planner for the speculative joint passes.
         self._shared_checks: bool | None = None
         if engine is not None:
-            engine.apply_conv_engine()
             self.config = engine.pipeline_config(self.config)
             max_batch = engine.max_batch
             if engine.monitor_batching == "shared":
@@ -128,37 +124,6 @@ class LandingPipeline:
         labels = self.segmenter.predict_labels(image)
         segmentation_s = time.perf_counter() - t0
         return self._finish_episode(image, labels, segmentation_s)
-
-    def run_batch(self, images) -> list[PipelineResult]:
-        """Run one episode per frame, sharing one batched segmentation.
-
-        .. deprecated:: PR 3
-            Superseded by the streaming episode engine:
-            ``EpisodeScheduler(model, config).run_frames(images,
-            seed=...)`` reproduces this bit for bit and scales to many
-            concurrent episodes.  Kept as a working alias for existing
-            call sites.
-
-        The core function segments all frames in chunked batched
-        forwards (``segmentation_s`` reports the amortised per-frame
-        share); monitoring and decisions then run per frame in order,
-        so results match ``[run(f) for f in images]`` exactly.
-        """
-        warnings.warn(
-            "LandingPipeline.run_batch is deprecated; use "
-            "repro.core.engine.EpisodeScheduler.run_frames (bit-for-bit "
-            "identical) or EpisodeScheduler.run for multi-episode "
-            "workloads", DeprecationWarning, stacklevel=2)
-        images = list(images)
-        if not images:
-            return []
-        t0 = time.perf_counter()
-        labels = self.segmenter.predict_labels_batch(images)
-        segmentation_s = (time.perf_counter() - t0) / len(images)
-        return [
-            self._finish_episode(image, labels[i], segmentation_s)
-            for i, image in enumerate(images)
-        ]
 
     def _finish_episode(self, image: np.ndarray, labels: np.ndarray,
                         segmentation_s: float) -> PipelineResult:

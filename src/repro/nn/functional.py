@@ -5,8 +5,8 @@ network (MSDnet).  Since no deep-learning framework is available offline,
 this module implements the required primitives from scratch:
 
 * dilated / strided 2-D convolution via ``im2col``/``col2im``,
-* a layout-aware inference engine (:func:`conv2d_infer`) with blocked
-  im2col, buffer reuse and an NHWC option,
+* an inference-only convolution (:func:`conv2d_infer`) with blocked
+  im2col and buffer reuse,
 * non-overlapping max pooling,
 * bilinear and nearest-neighbour resizing with exact adjoints,
 * numerically-stable softmax / log-softmax.
@@ -15,11 +15,11 @@ All forward functions return ``(output, cache)`` where ``cache`` carries
 whatever the matching backward function needs.  Arrays are NCHW unless a
 function says otherwise.
 
-Inference conv engine
+Inference convolution
 ---------------------
 The training path (:func:`conv2d_forward`) materialises the full im2col
 matrix because :func:`conv2d_backward` needs it.  Inference does not, so
-:func:`conv2d_infer` runs a *blocked* engine instead: patch columns are
+:func:`conv2d_infer` runs a *blocked* im2col instead: patch columns are
 materialised one cache-sized row block at a time into a reused scratch
 buffer and fed straight to GEMM.  The block geometry depends only on the
 per-sample convolution geometry — never on the batch size — so a
@@ -27,75 +27,14 @@ per-sample convolution geometry — never on the batch size — so a
 calls as ``T`` sequential forwards, which keeps the batched MC-dropout
 engine's bit-for-bit contract intact (OpenBLAS GEMM is deterministic per
 slice, but *not* across different column splits, so the splits must
-match).  Everything is float32-contiguous end to end; see
-:func:`set_conv_engine` for the knobs.
-
-Winograd engine and accuracy contracts
---------------------------------------
-``mode="winograd"`` runs eligible convolutions (3x3, stride 1,
-dilation 1, output at least 2x2) through Winograd F(2x2, 3x3): the
-input is cut into overlapping 4x4 tiles, both tiles and filters move to
-a transform domain where each 2x2 output patch costs 16 multiplies
-instead of 36 (2.25x fewer GEMM flops), and a short inverse transform
-brings the result back.  Filter transforms are precomputed once per
-weight array and cached (:data:`_WINOGRAD_FILTER_CACHE`).  Ineligible
-shapes (1x1/5x5 kernels, strided, dilated, or degenerate sub-2x2
-outputs) fall back to the blocked engine transparently.
-
-Accuracy contract: ``reference`` and ``blocked`` (single-block regime)
-are *bit-for-bit* identical; ``winograd`` is the first engine mode that
-is not — the transform reassociates the float32 arithmetic, so outputs
-agree with the reference path only to within a documented tolerance
-(see ``tests/nn/test_winograd_equivalence.py`` for the error analysis;
-at this repo's layer widths the observed deviation stays below
-``~1e-5`` relative to the output scale, certified in the test
-tolerances).  What *is* preserved exactly: the batched == sequential
-invariant.  The transform-domain contraction runs as one GEMM per
-``(sample, transform-coefficient)`` slice whose shape never depends on
-the batch size, so a ``T``-tiled batched forward reproduces ``T``
-sequential forwards bit for bit — winograd mode composes with the
-batched MC-dropout engine exactly like the blocked engine does.
-
-Int8 engine
------------
-``mode="int8"`` runs eligible convolutions quantised: per-channel
-symmetric int8 weights (cached per weight array, same invalidation
-story as the winograd filter cache), dynamic per-*sample* activation
-scales computed on every call, integer accumulation over the existing
-blocked-im2col tiling, and dequantisation fused with the conv bias into
-one in-place scale/shift over the GEMM output (the shape of the fused
-eval batch-norm fold) — the fp32 surface appears in one pass with no
-extra full-size intermediate.  Because this numpy build has no BLAS
-integer GEMM, the int32 accumulation is carried *exactly* inside the
-float32 GEMM over operands holding the integer codes; the eligibility
-bound ``C_in*kh*kw <= 1040`` guarantees every partial sum stays an
-exactly representable float32 integer (``K * 127^2 < 2^24``), making
-the accumulation bit-for-bit the int32 result and the batched ==
-sequential / block-size-invariance contracts *exact by construction* —
-stronger than winograd's.  Ineligible geometries (1x1 kernels by
-default — measured 0.3-0.6x under quantise/dequant overhead — and
-over-deep reductions) fall back to blocked bit-identically.  Accuracy
-vs the fp32 engines is tolerance-certified by a documented error model
-(:mod:`repro.nn.quant`) with an a-priori elementwise bound and a
-pinned empirical envelope (``tests/nn/test_int8_equivalence.py``,
-observed ~1e-2 max-norm relative per layer at this repo's widths);
-decision-level surfaces are zero-flip gated in
-``tests/integration/test_int8_certification.py``.
-
-The default mode can be overridden per process with the
-``REPRO_CONV_ENGINE`` environment variable (read at import and by
-:func:`reset_conv_engine`), which is how CI runs the tier-1 suite once
-more under ``winograd`` and once more under ``int8``.
+match).  When one block covers the whole output the GEMM is exactly
+:func:`conv2d_forward`'s, so the two agree bit for bit.  Everything is
+float32-contiguous end to end.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
-
-from repro.nn import quant
 
 __all__ = [
     "conv_output_size",
@@ -104,12 +43,6 @@ __all__ = [
     "conv2d_forward",
     "conv2d_backward",
     "conv2d_infer",
-    "CONV_ENGINE_MODES",
-    "CONV_ENGINE_LAYOUTS",
-    "set_conv_engine",
-    "get_conv_engine",
-    "reset_conv_engine",
-    "conv_engine",
     "clear_conv_buffers",
     "maxpool2d_forward",
     "maxpool2d_backward",
@@ -265,48 +198,13 @@ def conv2d_backward(dy: np.ndarray, cache: tuple
 
 
 # ----------------------------------------------------------------------
-# Inference conv engine (blocked im2col, buffer reuse, NHWC option)
+# Inference convolution (blocked im2col, buffer reuse)
 # ----------------------------------------------------------------------
-#: Engine knobs.  ``mode``: "blocked" (default) tiles the im2col matrix
-#: into cache-sized row blocks reused from a scratch pool; "reference"
-#: materialises the full im2col matrix exactly like the training path;
-#: "winograd" routes eligible 3x3/stride-1/dilation-1 convolutions
-#: through F(2x2, 3x3) tile transforms (2.25x fewer GEMM flops,
-#: tolerance-certified rather than bit-for-bit — see the module
-#: docstring) and everything else through the blocked engine.
-#: ``layout``: "nchw" (default) or "nhwc" — the NHWC path packs columns
-#: channel-minor and contracts against a (kh*kw*C, C_out) weight; its
-#: GEMM reduction order differs, so outputs can differ from NCHW in the
-#: last ulp (benchmarked in benchmarks/bench_conv_engine.py; NCHW wins
-#: at this repo's layer shapes, NHWC is kept as a measured option).
-#: The layout knob applies to the blocked engine only; winograd is
-#: NCHW-internal and its fallback path always uses blocked/NCHW.
-#: ``block_kib``: per-sample im2col block budget in KiB.  The block
-#: geometry is derived from per-sample quantities only (K, out_w,
-#: itemsize) so batched and sequential forwards split columns
-#: identically — the bit-for-bit contract of the batched MC engine.
-#: ``int8_min_kernel``: minimum kernel footprint ``kh*kw`` the int8
-#: engine accepts; below it the quantise/dequant passes dominate
-#: (1x1 convs measured 0.3-0.6x) and the geometry falls back to
-#: blocked.  Default 2 — exactly the measured 1x1 exclusion; set 1 to
-#: opt 1x1 in (e.g. under a future integer-GEMM backend).
-#: "int8" quantises eligible convolutions (per-channel symmetric int8
-#: weights, dynamic per-sample activations, exact integer accumulation
-#: — see the module docstring) and routes the rest through blocked.
-CONV_ENGINE_MODES = ("blocked", "reference", "winograd", "int8")
-CONV_ENGINE_LAYOUTS = ("nchw", "nhwc")
-
-_VALID_MODES = CONV_ENGINE_MODES
-_VALID_LAYOUTS = CONV_ENGINE_LAYOUTS
-
-#: Environment variable overriding the default engine mode per process
-#: (e.g. ``REPRO_CONV_ENGINE=winograd`` re-runs a whole suite on the
-#: winograd engine without touching call sites).
-CONV_ENGINE_ENV = "REPRO_CONV_ENGINE"
-
-_ENGINE_DEFAULTS = {"mode": "blocked", "layout": "nchw", "block_kib": 384,
-                    "int8_min_kernel": 2}
-_ENGINE: dict = {}
+#: Per-sample im2col block budget in KiB.  The block geometry is derived
+#: from per-sample quantities only (K, out_w, itemsize) so batched and
+#: sequential forwards split columns identically — the bit-for-bit
+#: contract of the batched MC engine.
+_BLOCK_KIB = 384
 
 #: Scratch-buffer pool for blocked im2col, keyed by required capacity
 #: class.  Bounded; single-threaded use assumed (the whole substrate
@@ -315,142 +213,22 @@ _COL_BUFFERS: dict[tuple, np.ndarray] = {}
 _COL_BUFFER_CAP = 32
 
 
-def set_conv_engine(mode: str | None = None, layout: str | None = None,
-                    block_kib: int | None = None,
-                    int8_min_kernel: int | None = None) -> dict:
-    """Configure the inference conv engine; returns the active config."""
-    if mode is not None:
-        if mode not in _VALID_MODES:
-            raise ValueError(f"unknown conv engine mode {mode!r}")
-        _ENGINE["mode"] = mode
-    if layout is not None:
-        if layout not in _VALID_LAYOUTS:
-            raise ValueError(f"unknown conv engine layout {layout!r}")
-        _ENGINE["layout"] = layout
-    if block_kib is not None:
-        if int(block_kib) < 1:
-            raise ValueError("block_kib must be >= 1")
-        _ENGINE["block_kib"] = int(block_kib)
-    if int8_min_kernel is not None:
-        if int(int8_min_kernel) < 1:
-            raise ValueError("int8_min_kernel must be >= 1")
-        _ENGINE["int8_min_kernel"] = int(int8_min_kernel)
-    return dict(_ENGINE)
-
-
-def get_conv_engine() -> dict:
-    """The active inference-engine configuration (a copy)."""
-    return dict(_ENGINE)
-
-
-def reset_conv_engine() -> dict:
-    """Restore the process-default engine configuration.
-
-    The default mode honours the ``REPRO_CONV_ENGINE`` environment
-    variable (validated against :data:`CONV_ENGINE_MODES`); everything
-    else returns to the built-in defaults.  Called once at import, and
-    by test fixtures that must not leak engine state across tests.
-    Returns the active configuration (a copy).
-    """
-    _ENGINE.clear()
-    _ENGINE.update(_ENGINE_DEFAULTS)
-    env_mode = os.environ.get(CONV_ENGINE_ENV)
-    if env_mode:
-        if env_mode not in _VALID_MODES:
-            raise ValueError(
-                f"{CONV_ENGINE_ENV}={env_mode!r} is not a valid conv "
-                f"engine mode (choose from {_VALID_MODES})")
-        _ENGINE["mode"] = env_mode
-    return dict(_ENGINE)
-
-
-reset_conv_engine()
-
-
-@contextmanager
-def conv_engine(mode: str | None = None, layout: str | None = None,
-                block_kib: int | None = None,
-                int8_min_kernel: int | None = None):
-    """Temporarily reconfigure the inference conv engine."""
-    saved = dict(_ENGINE)
-    try:
-        set_conv_engine(mode=mode, layout=layout, block_kib=block_kib,
-                        int8_min_kernel=int8_min_kernel)
-        yield dict(_ENGINE)
-    finally:
-        _ENGINE.update(saved)
-
-
-class _PerWeightCache:
-    """Keyed cache of arrays derived from a weight tensor.
-
-    The shared infrastructure behind every engine that precomputes a
-    per-weight transform — the winograd filter transform and the int8
-    quantised weights both live on instances of this class.  Entries
-    are keyed by ``id(weight)`` and hold a defensive copy of the source
-    array, so in-place weight updates (what an optimiser step does) and
-    ``id()`` reuse after garbage collection are detected by value
-    comparison and recomputed instead of served stale.  Bounded FIFO;
-    every instance registers itself so :func:`clear_conv_buffers`
-    empties them all through one hook.
-    """
-
-    _instances: list["_PerWeightCache"] = []
-
-    def __init__(self, compute, cap: int = 32):
-        self._compute = compute
-        self._cap = cap
-        self._entries: dict[int, tuple[np.ndarray, object]] = {}
-        _PerWeightCache._instances.append(self)
-
-    def get(self, weight: np.ndarray):
-        key = id(weight)
-        hit = self._entries.get(key)
-        if hit is not None:
-            saved, value = hit
-            if saved.shape == weight.shape \
-                    and saved.dtype == weight.dtype \
-                    and np.array_equal(saved, weight):
-                return value
-        value = self._compute(weight)
-        if len(self._entries) >= self._cap:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = (weight.copy(), value)
-        return value
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @classmethod
-    def clear_all(cls) -> None:
-        for cache in cls._instances:
-            cache.clear()
-
-
 def clear_conv_buffers() -> None:
-    """Drop all pooled conv scratch buffers and every cached per-weight
-    transform (winograd filter transforms, int8 quantised weights)."""
+    """Drop all pooled conv scratch buffers."""
     _COL_BUFFERS.clear()
-    _PerWeightCache.clear_all()
 
 
-def _col_buffer(capacity: int, dtype, tag: str = "col") -> np.ndarray:
+def _col_buffer(capacity: int, dtype) -> np.ndarray:
     """A flat scratch array of at least ``capacity`` elements.
 
     Keyed by the rounded-up capacity so repeated layer geometries reuse
     one allocation instead of paying a multi-MB ``np.empty`` (and the
-    page faults behind it) per conv call.  ``tag`` separates pools that
-    may be live simultaneously within one conv call (the winograd
-    engine holds its tile and product scratch at once; sharing a
-    capacity class across them would alias the arrays).
+    page faults behind it) per conv call.
     """
     # Round capacity up to the next power of two so nearby geometries
     # share an entry and the pool stays small.
     cap = 1 << (int(capacity) - 1).bit_length()
-    key = (tag, cap, np.dtype(dtype).str)
+    key = (cap, np.dtype(dtype).str)
     buf = _COL_BUFFERS.get(key)
     if buf is None:
         if len(_COL_BUFFERS) >= _COL_BUFFER_CAP:
@@ -466,10 +244,10 @@ def _conv2d_infer_blocked(x: np.ndarray, weight: np.ndarray,
     """Blocked im2col + fused GEMM, NCHW.
 
     Output rows are processed in blocks sized so one *per-sample* im2col
-    block stays within ``block_kib`` KiB; each block is packed into a
+    block stays within :data:`_BLOCK_KIB` KiB; each block is packed into a
     pooled scratch buffer and multiplied immediately (the fused path),
     so the full ``(N, K, L)`` column matrix never exists.  A single
-    block degenerates to exactly the reference GEMM.
+    block degenerates to exactly :func:`conv2d_forward`'s GEMM.
     """
     n, c, h, w = x.shape
     c_out, c_in, kh, kw = weight.shape
@@ -482,8 +260,7 @@ def _conv2d_infer_blocked(x: np.ndarray, weight: np.ndarray,
     itemsize = x.dtype.itemsize
     # Per-sample block budget: independent of N by construction (see
     # module docstring — this is what keeps batched == sequential).
-    rows = max(1, int(_ENGINE["block_kib"] * 1024 // (k * out_w
-                                                      * itemsize)))
+    rows = max(1, int(_BLOCK_KIB * 1024 // (k * out_w * itemsize)))
     rows = min(rows, out_h)
 
     if rows == out_h:
@@ -519,329 +296,18 @@ def _conv2d_infer_blocked(x: np.ndarray, weight: np.ndarray,
     return y
 
 
-def _conv2d_infer_nhwc(x: np.ndarray, weight: np.ndarray,
-                       bias: np.ndarray | None, stride: int,
-                       padding: int, dilation: int) -> np.ndarray:
-    """NHWC-internal convolution (measured alternative layout).
-
-    Packs columns channel-minor — ``(N, L, kh*kw*C)`` — and contracts
-    with the weight as ``cols @ (kh*kw*C, C_out)``.  The K-reduction
-    order differs from the NCHW engine, so outputs agree only to within
-    floating-point reassociation (last ulp).  Takes and returns NCHW;
-    the layout is internal.
-    """
-    n, c, h, w = x.shape
-    c_out, c_in, kh, kw = weight.shape
-    out_h = conv_output_size(h, kh, stride, padding, dilation)
-    out_w = conv_output_size(w, kw, stride, padding, dilation)
-    xh = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-    if padding > 0:
-        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c),
-                      dtype=x.dtype)
-        xp[:, padding:padding + h, padding:padding + w, :] = xh
-    else:
-        xp = xh
-    k = kh * kw * c_in
-    cols = _col_buffer(n * out_h * out_w * k, x.dtype)[
-        :n * out_h * out_w * k].reshape(n, out_h, out_w, kh, kw, c_in)
-    for i in range(kh):
-        r0 = i * dilation
-        for j in range(kw):
-            c0 = j * dilation
-            cols[:, :, :, i, j] = xp[:, r0:r0 + stride * out_h:stride,
-                                     c0:c0 + stride * out_w:stride]
-    w2 = np.ascontiguousarray(weight.transpose(2, 3, 1, 0)).reshape(
-        k, c_out)
-    out = np.matmul(cols.reshape(n, out_h * out_w, k), w2)
-    if bias is not None:
-        out += bias
-    return np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(
-        n, c_out, out_h, out_w)
-
-
-# ----------------------------------------------------------------------
-# Winograd F(2x2, 3x3) engine
-# ----------------------------------------------------------------------
-#: Filter-transform matrix G of F(2, 3): ``U = G g G^T`` maps a 3x3
-#: filter tap into the 4x4 transform domain.  Held in float64 — the
-#: (cached, off-hot-path) filter transform is computed at full
-#: precision and rounded to the working dtype once.
-_WINOGRAD_G = np.array([[1.0, 0.0, 0.0],
-                        [0.5, 0.5, 0.5],
-                        [0.5, -0.5, 0.5],
-                        [0.0, 0.0, 1.0]])
-
-def _winograd_filter_compute(weight: np.ndarray) -> np.ndarray:
-    """``(16, C_out, C_in)`` transform-domain filters for 3x3 weights.
-
-    ``U = G g G^T`` per (c_out, c_in) tap, computed in float64 and
-    rounded once to the weight dtype, laid out coefficient-major so the
-    transform-domain contraction is a contiguous batched GEMM.
-    """
-    c_out, c_in = weight.shape[:2]
-    u64 = _WINOGRAD_G @ weight.astype(np.float64) @ _WINOGRAD_G.T
-    u = np.ascontiguousarray(
-        u64.transpose(2, 3, 0, 1).reshape(16, c_out, c_in)
-        .astype(weight.dtype))
-    u.setflags(write=False)
-    return u
-
-
-#: Cached winograd filter transforms: a :class:`_PerWeightCache` over
-#: :func:`_winograd_filter_compute` (defensive-copy invalidation on
-#: in-place weight updates; cleared by :func:`clear_conv_buffers`).
-_WINOGRAD_FILTER_CACHE = _PerWeightCache(_winograd_filter_compute)
-
-
-def _winograd_filter_transform(weight: np.ndarray) -> np.ndarray:
-    """The cached transform of ``weight`` (see
-    :data:`_WINOGRAD_FILTER_CACHE`)."""
-    return _WINOGRAD_FILTER_CACHE.get(weight)
-
-
-#: Minimum per-sample tile count for the winograd engine.  Below this
-#: the fixed transform overhead (six staged passes over the tile
-#: domain) dwarfs the GEMM it accelerates, so small-tile shapes — tiny
-#: monitor crops, mostly — fall back to the blocked engine, which is
-#: the faster engine there by a wide measured margin.
-_WINOGRAD_MIN_TILES = 16
-
-
-def _winograd_eligible(kh: int, kw: int, stride: int, dilation: int,
-                       out_h: int, out_w: int) -> bool:
-    """Whether a conv geometry can run on the F(2x2, 3x3) engine.
-
-    Only the canonical 3x3 / stride-1 / dilation-1 case has a Winograd
-    form here; degenerate sub-2x2 outputs and small-tile shapes (fewer
-    than :data:`_WINOGRAD_MIN_TILES` 2x2 output tiles, where the
-    transform overhead cannot amortise) fall back as well.
-    """
-    if not (kh == 3 and kw == 3 and stride == 1 and dilation == 1
-            and out_h >= 2 and out_w >= 2):
-        return False
-    tiles = ((out_h + 1) // 2) * ((out_w + 1) // 2)
-    return tiles >= _WINOGRAD_MIN_TILES
-
-
-def _conv2d_infer_winograd(x: np.ndarray, weight: np.ndarray,
-                           bias: np.ndarray | None,
-                           padding: int) -> np.ndarray:
-    """Winograd F(2x2, 3x3) convolution (stride 1, dilation 1).
-
-    The padded input is split once into its four row/column *parity
-    planes* (``q[pr, pc][i, j] = xpad[2i + pr, 2j + pc]``) so that both
-    halves of the tile transform ``V = B^T d B`` — whose matrices hold
-    only 0/±1 — become plain adds/subtracts of *contiguous* plane
-    slices (strided tile gathers measured ~6x slower on the CI host).
-    The channel contraction then runs in the transform domain, where
-    each 2x2 output patch costs 16 multiplies instead of im2col's 36,
-    and ``Y = A^T M A`` folds the products back onto the interleaved
-    output grid.  All scratch lives in the pooled buffers.
-
-    Determinism contract: the contraction is one GEMM per
-    ``(transform coefficient, sample)`` pair — ``np.matmul`` with batch
-    shape ``(16, N)`` — so every GEMM slice has shape
-    ``(C_out, C_in) @ (C_in, P)`` with ``P`` the per-sample tile count,
-    never a function of the batch size.  Batched forwards therefore
-    reproduce sequential forwards bit for bit by construction, exactly
-    like the blocked engine (the batched MC-dropout engine's
-    invariant).  Accuracy vs the reference path is tolerance-certified,
-    not bit-for-bit — see the module docstring.
-    """
-    n, c, h, w = x.shape
-    c_out = weight.shape[0]
-    out_h = h + 2 * padding - 2
-    out_w = w + 2 * padding - 2
-    th = (out_h + 1) // 2
-    tw = (out_w + 1) // 2
-    p = th * tw
-    dt = x.dtype
-
-    # Parity planes of the padded input, (2, 2, N, C, th+1, tw+1):
-    # plane (pr, pc) holds padded pixel (2i+pr, 2j+pc) at (i, j).  Tile
-    # (i, j) covers padded rows/cols 2i..2i+3 x 2j..2j+3, i.e. plane
-    # entries (i, j) and (i+1, j+1) — one slice shift instead of a
-    # strided 4x4 tile gather.
-    q = _col_buffer(4 * n * c * (th + 1) * (tw + 1), dt, tag="wg_q")[
-        :4 * n * c * (th + 1) * (tw + 1)].reshape(
-        2, 2, n, c, th + 1, tw + 1)
-    for pr in range(2):
-        i0 = (padding - pr + 1) // 2
-        i1 = (padding + h - pr - 1) // 2
-        r0 = 2 * i0 + pr - padding
-        for pc in range(2):
-            j0 = (padding - pc + 1) // 2
-            j1 = (padding + w - pc - 1) // 2
-            s0 = 2 * j0 + pc - padding
-            plane = q[pr, pc]
-            # Zero only the padding halo (the buffer is pooled, hence
-            # dirty): the interior is value-assigned right below, and
-            # the halo is at most a row/column strip per side, so this
-            # skips a full memory pass over the largest scratch.
-            plane[:, :, :i0].fill(0)
-            plane[:, :, i1 + 1:].fill(0)
-            plane[:, :, i0:i1 + 1, :j0].fill(0)
-            plane[:, :, i0:i1 + 1, j1 + 1:].fill(0)
-            plane[:, :, i0:i1 + 1, j0:j1 + 1] = x[:, :, r0::2, s0::2]
-
-    # Row half of B^T d B: tile row-coefficients a = 0..3 combine plane
-    # rows (i, i+1) of matching parity — all contiguous slices.
-    r_ = _col_buffer(8 * n * c * th * (tw + 1), dt, tag="wg_r")[
-        :8 * n * c * th * (tw + 1)].reshape(4, 2, n, c, th, tw + 1)
-    for pc in range(2):
-        q0a, q0b = q[0, pc, :, :, :-1], q[0, pc, :, :, 1:]
-        q1a, q1b = q[1, pc, :, :, :-1], q[1, pc, :, :, 1:]
-        np.subtract(q0a, q0b, out=r_[0, pc])
-        np.add(q1a, q0b, out=r_[1, pc])
-        np.subtract(q0b, q1a, out=r_[2, pc])
-        np.subtract(q1a, q1b, out=r_[3, pc])
-
-    # Column half, written straight into the GEMM operand layout
-    # (16, N, C, P) — coefficient-major so every slot is contiguous.
-    v = _col_buffer(16 * n * c * p, dt, tag="wg_v")[
-        :16 * n * c * p].reshape(16, n, c, th, tw)
-    for a in range(4):
-        e0, e1 = r_[a, 0][..., :-1], r_[a, 0][..., 1:]
-        o0, o1 = r_[a, 1][..., :-1], r_[a, 1][..., 1:]
-        np.subtract(e0, e1, out=v[4 * a + 0])
-        np.add(o0, e1, out=v[4 * a + 1])
-        np.subtract(e1, o0, out=v[4 * a + 2])
-        np.subtract(o0, o1, out=v[4 * a + 3])
-
-    # Transform-domain contraction, batch shape (16, N): one
-    # N-independent (C_out, C_in) @ (C_in, P) GEMM per slice (the
-    # determinism contract above).
-    u = _winograd_filter_transform(weight)
-    m = np.matmul(u[:, None], v.reshape(16, n, c, p), out=_col_buffer(
-        16 * n * c_out * p, dt, tag="wg_m")[
-        :16 * n * c_out * p].reshape(16, n, c_out, p))
-
-    # Inverse transform Y = A^T M A with A^T = [[1,1,1,0],[0,1,-1,-1]]:
-    # row half into pooled scratch, column half scattered onto the
-    # interleaved output positions.
-    mm = m.reshape(16, n, c_out, th, tw)
-    s = _col_buffer(8 * n * c_out * p, dt, tag="wg_s")[
-        :8 * n * c_out * p].reshape(2, 4, n, c_out, th, tw)
-    for b in range(4):
-        np.add(mm[b], mm[4 + b], out=s[0, b])
-        s[0, b] += mm[8 + b]
-        np.subtract(mm[4 + b], mm[8 + b], out=s[1, b])
-        s[1, b] -= mm[12 + b]
-    y = np.empty((n, c_out, 2 * th, 2 * tw), dtype=dt)
-    t = _col_buffer(n * c_out * p, dt, tag="wg_t")[
-        :n * c_out * p].reshape(n, c_out, th, tw)
-    for r in range(2):
-        np.add(s[r, 0], s[r, 1], out=t)
-        t += s[r, 2]
-        y[:, :, r::2, 0::2] = t
-        np.subtract(s[r, 1], s[r, 2], out=t)
-        t -= s[r, 3]
-        y[:, :, r::2, 1::2] = t
-    if (2 * th, 2 * tw) != (out_h, out_w):
-        y = np.ascontiguousarray(y[:, :, :out_h, :out_w])
-    if bias is not None:
-        y += bias[None, :, None, None]
-    return y
-
-
-# ----------------------------------------------------------------------
-# Int8 quantised engine
-# ----------------------------------------------------------------------
-#: Maximum reduction depth ``K = C_in*kh*kw`` the int8 engine accepts.
-#: The int32 accumulation is carried *exactly* inside the float32 GEMM
-#: (this numpy build has no BLAS integer kernel; a literal int32 matmul
-#: measures ~50x slower): products of int8 codes are <= 127^2, so every
-#: partial sum stays an exactly representable float32 integer as long
-#: as K * 127^2 < 2^24.  Deeper reductions fall back to blocked rather
-#: than silently lose exactness (see repro.nn.quant for the full
-#: argument).
-_INT8_MAX_EXACT_K = (1 << 24) // (127 * 127)   # = 1040
-
-#: Cached per-channel int8 weight quantisations: a
-#: :class:`_PerWeightCache` over :func:`repro.nn.quant.quantize_weight`
-#: (same invalidation/clearing story as the winograd filter cache).
-_INT8_WEIGHT_CACHE = _PerWeightCache(quant.quantize_weight)
-
-
-def _int8_eligible(c_in: int, kh: int, kw: int) -> bool:
-    """Whether a conv geometry can run on the int8 engine.
-
-    Unlike winograd, eligibility does not depend on stride or dilation
-    — the quantised GEMM reuses the blocked engine's packing, which
-    handles both (dilated 3x3 measured the same int8 overhead as
-    dense 3x3).  Two exclusions: kernel footprints below the
-    ``int8_min_kernel`` knob (1x1 by default — quantise/dequant passes
-    dominate there, measured 0.3-0.6x) and reductions deeper than
-    :data:`_INT8_MAX_EXACT_K` (where the exact-accumulation guarantee
-    would break).
-    """
-    if kh * kw < _ENGINE["int8_min_kernel"]:
-        return False
-    return c_in * kh * kw <= _INT8_MAX_EXACT_K
-
-
-def _conv2d_infer_int8(x: np.ndarray, weight: np.ndarray,
-                       bias: np.ndarray | None, stride: int,
-                       padding: int, dilation: int) -> np.ndarray:
-    """Quantised convolution: int8 codes, exact accumulation, fused
-    dequant.
-
-    Three passes.  (1) *Quantise*: per-sample symmetric absmax scales
-    (two reductions, no ``|x|`` temporary), then the codes are written
-    into a pooled scratch buffer — float32, but holding exactly the
-    integer values ``rint(x / s_a)`` in ``[-127, 127]``.  (2) *GEMM*:
-    the code tensor runs through the unmodified blocked-im2col engine
-    against the cached float32 copy of the int8 weight codes; by the
-    exactness bound gating :func:`_int8_eligible` every partial sum is
-    an exact integer, so the result is bit-for-bit the int32
-    accumulation regardless of block splits.  (3) *Dequant*: one
-    per-``(sample, channel)`` scale and the bias shift are applied in
-    place on the GEMM output — the same scale/shift structure as the
-    fused eval batch-norm, so the fp32 surface appears in one pass
-    with no extra full-size intermediate.
-
-    Contracts: batched == sequential holds bit for bit *by
-    construction* — scales are per sample, and exact integer sums are
-    immune to the reassociation that makes winograd tolerance-only.
-    Accuracy vs the fp32 engines is certified by the a-priori error
-    bound of :func:`repro.nn.quant.error_bound` and the pinned envelope
-    in ``tests/nn/test_int8_equivalence.py``.
-    """
-    n = x.shape[0]
-    qw = _INT8_WEIGHT_CACHE.get(weight)
-    # Per-sample dynamic scales: max of x and of -x instead of a full
-    # |x| temporary.
-    flat_x = x.reshape(n, -1)
-    amax = np.maximum(flat_x.max(axis=1), -flat_x.min(axis=1))
-    s_a = np.where(amax > 0, amax * np.float32(1.0 / 127.0),
-                   np.float32(1.0))
-    inv = np.float32(1.0) / s_a
-    # |x| * inv <= 127 * (1 + few ulp) < 127.5, so rint never exceeds
-    # the int8 grid — no clip pass needed on the hot path.
-    codes = _col_buffer(x.size, x.dtype, tag="i8_act")[
-        :x.size].reshape(x.shape)
-    np.multiply(x, inv[:, None, None, None], out=codes)
-    np.rint(codes, out=codes)
-    acc = _conv2d_infer_blocked(codes, qw.gemm, None, stride, padding,
-                                dilation)
-    acc *= (s_a[:, None] * qw.scale[None, :])[:, :, None, None]
-    if bias is not None:
-        acc += bias[None, :, None, None]
-    return acc
-
-
 def conv2d_infer(x: np.ndarray, weight: np.ndarray,
                  bias: np.ndarray | None, stride: int = 1,
                  padding: int = 0, dilation: int = 1) -> np.ndarray:
-    """Inference-only 2-D convolution on the configured engine.
+    """Inference-only 2-D convolution.
 
     Same result contract as :func:`conv2d_forward` but returns only the
     output: no im2col matrix is retained (inference never calls
-    backward), the blocked engine reuses pooled scratch buffers, and a
+    backward), the blocked im2col reuses pooled scratch buffers, and a
     batch that is a stride-0 broadcast of one sample (the batched MC
     engine tiling an image) is computed once and re-broadcast.
     """
-    c_out, c_in, kh, kw = weight.shape
+    c_in = weight.shape[1]
     if x.shape[1] != c_in:
         raise ValueError(
             f"input has {x.shape[1]} channels, weight expects {c_in}")
@@ -849,34 +315,6 @@ def conv2d_infer(x: np.ndarray, weight: np.ndarray,
         # Every batch element is the same sample: compute one, broadcast.
         y1 = conv2d_infer(x[:1], weight, bias, stride, padding, dilation)
         return np.broadcast_to(y1, (x.shape[0],) + y1.shape[1:])
-    if _ENGINE["mode"] == "reference":
-        cols, geom = im2col(x, (kh, kw), stride, padding, dilation)
-        out = np.matmul(weight.reshape(c_out, c_in * kh * kw), cols)
-        if bias is not None:
-            out = out + bias[None, :, None]
-        return out.reshape(x.shape[0], c_out, geom[5], geom[6])
-    if _ENGINE["mode"] == "winograd":
-        out_h = conv_output_size(x.shape[2], kh, stride, padding,
-                                 dilation)
-        out_w = conv_output_size(x.shape[3], kw, stride, padding,
-                                 dilation)
-        if _winograd_eligible(kh, kw, stride, dilation, out_h, out_w):
-            return _conv2d_infer_winograd(x, weight, bias, padding)
-        # Ineligible geometry: transparent blocked/NCHW fallback (the
-        # layout knob documents itself as blocked-mode-only).
-        return _conv2d_infer_blocked(x, weight, bias, stride, padding,
-                                     dilation)
-    if _ENGINE["mode"] == "int8":
-        if _int8_eligible(c_in, kh, kw):
-            return _conv2d_infer_int8(x, weight, bias, stride, padding,
-                                      dilation)
-        # Ineligible geometry (1x1 footprint / too-deep reduction):
-        # bit-identical blocked/NCHW fallback, mirroring winograd.
-        return _conv2d_infer_blocked(x, weight, bias, stride, padding,
-                                     dilation)
-    if _ENGINE["layout"] == "nhwc":
-        return _conv2d_infer_nhwc(x, weight, bias, stride, padding,
-                                  dilation)
     return _conv2d_infer_blocked(x, weight, bias, stride, padding,
                                  dilation)
 

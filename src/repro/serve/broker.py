@@ -85,10 +85,10 @@ _SHUTDOWN = object()
 def serve_workers_default() -> int | None:
     """Worker count requested via ``REPRO_SERVE_WORKERS``, or None.
 
-    The serving layer's deployment-time sizing toggle (sanctioned env
-    read site, mirroring ``REPRO_CONV_ENGINE``): ``ServeConfig`` reads
-    it only when its ``workers`` field is left unset, so explicit
-    configuration always wins.
+    The serving layer's deployment-time sizing toggle (a sanctioned env
+    read site, like the monitor toggles in :mod:`repro.core.monitor`):
+    ``ServeConfig`` reads it only when its ``workers`` field is left
+    unset, so explicit configuration always wins.
     """
     raw = os.environ.get("REPRO_SERVE_WORKERS", "").strip()
     if not raw:

@@ -186,7 +186,7 @@ class PersistentWorkerPool:
 
     The pool snapshots the process state at fork, which is exactly what
     the model-shipped-once contract wants; if the parent mutates the
-    model or flips the global conv engine afterwards, build a new pool.
+    model afterwards, build a new pool.
     Respawned workers fork from the parent's *current* state under the
     same assumption.
     """

@@ -206,17 +206,9 @@ class TestFp32Firewall:
             "src/repro/nn/foo.py", tmp_path, Fp32FirewallChecker())
         assert not result.active
 
-    def test_int8_island_quant_module_silent(self, tmp_path):
-        # repro.nn.quant is the documented quantisation island (and a
-        # float64 island for scale computation): the same fixture that
-        # flags five findings elsewhere is silent there.
-        result = run(self.BAD_INT8, "src/repro/nn/quant.py", tmp_path,
-                     Fp32FirewallChecker())
-        assert not result.active
-
-    def test_int8_island_lists_are_separate(self, tmp_path):
-        # gradcheck.py is a *float64* island; int8 rules still apply
-        # there — the allowlists do not bleed into each other.
+    def test_int8_has_no_island(self, tmp_path):
+        # gradcheck.py is a *float64* island; the int8 rule still
+        # applies there — it has no island anywhere.
         result = run(self.BAD_INT8, "src/repro/nn/gradcheck.py",
                      tmp_path, Fp32FirewallChecker())
         assert rules_of(result) == {"FP32-INT8-QUANT"}
@@ -232,7 +224,7 @@ class TestEngineModeHygiene:
         result = run(
             """
             import os
-            mode = os.environ.get("REPRO_CONV_ENGINE")
+            mode = os.environ.get("REPRO_MONITOR_ADAPTIVE")
             other = os.getenv("REPRO_MONITOR_SHARED")
             """,
             "src/repro/core/new_module.py", tmp_path,
@@ -253,7 +245,7 @@ class TestEngineModeHygiene:
         result = run(
             """
             import os
-            mode = os.environ.get("REPRO_CONV_ENGINE")
+            mode = os.environ.get("REPRO_MONITOR_SHARED")
             """,
             "benchmarks/foo.py", tmp_path, EngineModeChecker())
         assert not result.active
@@ -262,8 +254,8 @@ class TestEngineModeHygiene:
         result = run(
             """
             import os
-            os.environ["REPRO_CONV_ENGINE"] = "winograd"
-            del os.environ["REPRO_CONV_ENGINE"]
+            os.environ["REPRO_MONITOR_SHARED"] = "1"
+            del os.environ["REPRO_MONITOR_SHARED"]
             os.environ.update({"A": "1"})
             os.environ.pop("A", None)
             os.putenv("B", "2")
@@ -271,60 +263,6 @@ class TestEngineModeHygiene:
             "benchmarks/foo.py", tmp_path, EngineModeChecker())
         assert rules_of(result) == {"ENG-ENV-WRITE"}
         assert len(result.active) == 5
-
-    def test_set_without_restore_flags(self, tmp_path):
-        result = run(
-            """
-            from repro.nn.functional import set_conv_engine
-            def configure():
-                set_conv_engine(mode="winograd")
-            """,
-            "benchmarks/foo.py", tmp_path, EngineModeChecker())
-        assert rules_of(result) == {"ENG-SET-NO-RESTORE"}
-
-    def test_save_restore_idiom_silent(self, tmp_path):
-        result = run(
-            """
-            from repro.nn import functional as F
-            def configure():
-                saved = F.get_conv_engine()
-                try:
-                    F.set_conv_engine(mode="winograd")
-                finally:
-                    F.set_conv_engine(**saved)
-            def ctx_manager_user():
-                from repro.nn.functional import conv_engine
-                with conv_engine(mode="reference"):
-                    pass
-            """,
-            "benchmarks/foo.py", tmp_path, EngineModeChecker())
-        assert not result.active
-
-    def test_sanctioned_setter_site_silent(self, tmp_path):
-        result = run(
-            """
-            def apply(self):
-                set_conv_engine(mode=self.conv_mode)
-            """,
-            "src/repro/core/pipeline.py", tmp_path,
-            EngineModeChecker())
-        assert not result.active
-
-    def test_conftest_guard_fixture_covers_subtree(self, tmp_path):
-        (tmp_path / "tests").mkdir()
-        (tmp_path / "tests" / "conftest.py").write_text(
-            "def _conv_engine_isolation():\n    pass\n")
-        source = """
-            from repro.nn.functional import set_conv_engine
-            def test_mode():
-                set_conv_engine(mode="winograd")
-            """
-        guarded = run(source, "tests/nn/test_foo.py", tmp_path,
-                      EngineModeChecker())
-        assert not guarded.active
-        unguarded = run(source, "examples/foo.py", tmp_path,
-                        EngineModeChecker())
-        assert rules_of(unguarded) == {"ENG-SET-NO-RESTORE"}
 
 
 class TestForkPoolPurity:

@@ -143,7 +143,7 @@ class TestCli:
         for rule in ("RNG-GLOBAL-STATE", "RNG-UNSEEDED",
                      "FP32-FLOAT64", "FP32-DTYPELESS",
                      "FP32-ASTYPE-WIDEN", "ENG-ENV-READ",
-                     "ENG-ENV-WRITE", "ENG-SET-NO-RESTORE",
+                     "ENG-ENV-WRITE", "FP32-INT8-QUANT",
                      "FORK-GLOBAL-WRITE", "KNOB-DOCSTRING",
                      "KNOB-README"):
             assert rule in out

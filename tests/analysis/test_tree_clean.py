@@ -118,6 +118,15 @@ def test_env_read_outside_serve_broker_still_flagged():
                    for f in sanctioned.active)
 
 
+def test_env_read_in_nn_functional_flagged():
+    # nn/functional.py is not a sanctioned reader: the conv path has
+    # no environment toggle, so a read there is a finding.
+    source = "import os\nMODE = os.environ.get('X', '')\n"
+    flagged = lint_source(source, "src/repro/nn/functional.py",
+                          REPO_ROOT)
+    assert any(f.rule == "ENG-ENV-READ" for f in flagged.active)
+
+
 def test_check_sh_runs_strict_lint_first():
     script = (REPO_ROOT / "scripts" / "check.sh").read_text()
     lint_pos = script.find("python -m repro.analysis --strict")

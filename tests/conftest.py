@@ -16,22 +16,6 @@ from repro.eval.harness import (
     build_trained_system,
     tiny_harness_config,
 )
-from repro.nn import functional as F
-
-
-@pytest.fixture(autouse=True)
-def _conv_engine_isolation():
-    """No conv-engine state may leak across tests.
-
-    ``set_conv_engine`` is process-global by design; a test that flips
-    the mode/layout and fails before restoring it would silently change
-    what every later test measures.  Save/restore (rather than reset to
-    defaults) keeps deliberate whole-suite overrides — e.g. CI's
-    ``REPRO_CONV_ENGINE=winograd`` pass — in force.
-    """
-    saved = F.get_conv_engine()
-    yield
-    F.set_conv_engine(**saved)
 
 
 @pytest.fixture(scope="session")

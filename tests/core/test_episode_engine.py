@@ -15,7 +15,6 @@ from repro.core import (
     EpisodeScheduler,
     LandingPipeline,
 )
-from repro.nn import functional as F
 from repro.scenarios import scenario_sweep
 
 SCENARIOS = ("day_nominal", "sunset_ood", "motor_failure_descent")
@@ -63,40 +62,17 @@ class TestExactMode:
             for a, b in zip(engine_ep.results, ref_ep):
                 _assert_results_equal(a, b)
 
-    def test_run_frames_matches_run_batch(self, tiny_system):
-        """The deprecated run_batch and its engine replacement agree."""
+    def test_run_frames_matches_per_frame_run_loop(self, tiny_system):
+        """``run_frames`` (one batched core segmentation) is bit-identical
+        to the per-frame ``LandingPipeline.run`` loop on the same seed."""
         images = [s.image for s in tiny_system.test_samples[:3]]
-        with pytest.deprecated_call():
-            batched = tiny_system.make_pipeline(rng=0).run_batch(images)
-        scheduler = tiny_system.make_scheduler()
-        streamed = scheduler.run_frames(images, seed=0)
-        assert len(streamed) == len(batched)
-        for a, b in zip(streamed, batched):
-            _assert_results_equal(a, b)
-
-    def test_run_batch_deprecation_contract(self, tiny_system):
-        """run_batch is deprecated but pinned: it must warn with a
-        message pointing at the replacement AND stay bit-identical to
-        both ``EpisodeScheduler.run_frames`` and the per-frame
-        ``LandingPipeline.run`` loop on the same seed.  This is the
-        regression net under the eventual removal."""
-        images = [s.image for s in tiny_system.test_samples[:3]]
-        with pytest.warns(DeprecationWarning,
-                          match="EpisodeScheduler.run_frames"):
-            batched = tiny_system.make_pipeline(rng=0).run_batch(images)
-        # vs the engine replacement.
         streamed = tiny_system.make_scheduler().run_frames(images,
                                                            seed=0)
-        # vs the sequential facade.
         loop_pipeline = tiny_system.make_pipeline(rng=0)
         looped = [loop_pipeline.run(im) for im in images]
-        for a, b, c in zip(batched, streamed, looped):
+        assert len(streamed) == len(looped)
+        for a, b in zip(streamed, looped):
             _assert_results_equal(a, b)
-            _assert_results_equal(a, c)
-        # Empty input short-circuits without warning noise semantics
-        # changing shape.
-        with pytest.deprecated_call():
-            assert tiny_system.make_pipeline(rng=0).run_batch([]) == []
 
     def test_mixed_camera_shapes_in_one_run(self, tiny_system):
         specs = scenario_sweep("day_nominal", "sunset_ood")
@@ -219,26 +195,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(workers=0)
 
-    def test_conv_knob_validation_is_eager(self):
-        """A bad conv mode/layout fails at construction with a clear
-        message, not at the first forward deep inside a run."""
-        with pytest.raises(ValueError, match="conv_mode"):
-            EngineConfig(conv_mode="fft")
-        with pytest.raises(ValueError, match="conv_layout"):
-            EngineConfig(conv_layout="chwn")
-        with pytest.raises(ValueError, match="conv_block_kib"):
-            EngineConfig(conv_block_kib=0)
-        # Every registered engine mode must be accepted, winograd
-        # included.
-        for mode in F.CONV_ENGINE_MODES:
-            assert EngineConfig(conv_mode=mode).conv_mode == mode
-
-    def test_invalid_knobs_do_not_touch_global_state(self):
-        before = F.get_conv_engine()
-        with pytest.raises(ValueError):
-            EngineConfig(conv_mode="fft")
-        assert F.get_conv_engine() == before
-
     def test_speculative_override_routes_to_decision(self, tiny_system):
         scheduler = tiny_system.make_scheduler(
             engine=EngineConfig(speculative_k=3))
@@ -246,15 +202,6 @@ class TestEngineConfig:
         pipeline = tiny_system.make_pipeline(
             engine=EngineConfig(speculative_k=3))
         assert pipeline.config.decision.speculative_k == 3
-
-    def test_conv_knobs_applied(self, tiny_system):
-        saved = F.get_conv_engine()
-        try:
-            tiny_system.make_pipeline(
-                engine=EngineConfig(conv_mode="reference"))
-            assert F.get_conv_engine()["mode"] == "reference"
-        finally:
-            F.set_conv_engine(**saved)
 
     def test_max_batch_routes_to_segmenter(self, tiny_system):
         pipeline = tiny_system.make_pipeline(

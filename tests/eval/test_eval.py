@@ -171,26 +171,6 @@ class TestTrainedSystemFixture:
         assert records[0]["crop_w"] == stride
         assert records[0]["mean_s"] > 0.0
 
-    def test_run_batch_matches_run(self, tiny_system):
-        """The (deprecated) batched episode alias still equals
-        frame-by-frame runs — the contract its engine replacement
-        inherits (see tests/core/test_episode_engine.py)."""
-        images = [s.image for s in tiny_system.test_samples[:2]]
-        batch_pipeline = tiny_system.make_pipeline(rng=0)
-        with pytest.deprecated_call():
-            batched = batch_pipeline.run_batch(images)
-        loop_pipeline = tiny_system.make_pipeline(rng=0)
-        looped = [loop_pipeline.run(image) for image in images]
-        assert len(batched) == len(looped)
-        for a, b in zip(batched, looped):
-            assert a.decision.action == b.decision.action
-            assert a.decision.attempts == b.decision.attempts
-            np.testing.assert_array_equal(a.predicted_labels,
-                                          b.predicted_labels)
-            for va, vb in zip(a.verdicts, b.verdicts):
-                assert va.accepted == vb.accepted
-                assert va.unsafe_fraction == vb.unsafe_fraction
-
 
 class TestReporting:
     def test_format_table_basic(self):

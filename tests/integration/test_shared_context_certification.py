@@ -1,8 +1,8 @@
-"""Shared-context certification gate (the PR 4 template, applied).
+"""Shared-context certification gate.
 
-The shared-context monitor is the repo's third non-bit-exact mode
-(after the joint pass and the winograd conv engine), and the first
-whose deviation is *statistical* rather than floating-point: merged
+The shared-context monitor is a non-bit-exact mode like the joint
+pass, but its deviation is *statistical* rather than a change of RNG
+stream: merged
 union windows draw their dropout masks over window activations, so a
 merged zone's moments are a fresh Monte-Carlo resample — and its crop
 border sees real context where the per-zone crop saw zero padding.

@@ -1,31 +1,15 @@
-"""Tests for the layout-aware inference conv engine.
+"""Tests for the inference convolution (blocked im2col).
 
 Contracts:
 
-* the blocked engine agrees with the reference im2col+GEMM path — bit
-  for bit when the geometry fits a single block, to float32
-  reassociation tolerance when the column matrix is split;
+* :func:`conv2d_infer` agrees with the training path
+  :func:`conv2d_forward` — bit for bit when the geometry fits a single
+  im2col block, to float32 reassociation tolerance when the column
+  matrix is split;
 * blocking depends only on per-sample geometry, so batched forwards
   equal per-sample forwards bit for bit (the batched MC engine's
-  invariant) — and the winograd engine preserves the same invariant by
-  construction (one N-independent GEMM slice per sample/coefficient);
-* the NHWC-internal option matches to reassociation tolerance (its GEMM
-  reduction order differs by construction);
-* the winograd engine matches reference/blocked to a documented
-  tolerance on eligible 3x3/stride-1/dilation-1 geometries and falls
-  back to the blocked engine *bit for bit* everywhere else (the deeper
-  numerical certification lives in ``test_winograd_equivalence.py``);
-* the int8 engine stays inside its a-priori quantisation error bound on
-  eligible geometries and falls back bit for bit on the rest (deeper
-  certification in ``test_int8_equivalence.py``);
+  invariant), in the single- and the multi-block regime alike;
 * stride-0 broadcast batches are computed once and re-broadcast.
-
-The engine matrix below is driven off ``F.CONV_ENGINE_MODES`` — a new
-engine mode fails these tests until it declares its accuracy contract
-in ``_MODE_CONTRACTS``, so future backends are covered by construction.
-
-Engine state isolation is provided suite-wide by the autouse
-``_conv_engine_isolation`` fixture in ``tests/conftest.py``.
 """
 
 import numpy as np
@@ -33,7 +17,6 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn import quant
 
 
 def _case(rng, n, cin, cout, h, w, k=3, stride=1, padding=1, dilation=1):
@@ -43,164 +26,103 @@ def _case(rng, n, cin, cout, h, w, k=3, stride=1, padding=1, dilation=1):
     return x, wt, b, stride, padding, dilation
 
 
-CASES = [
-    dict(n=1, cin=3, cout=8, h=24, w=32),                      # stem-like
-    dict(n=4, cin=8, cout=8, h=24, w=32, stride=2),            # strided
-    dict(n=2, cin=8, cout=4, h=12, w=16, padding=4, dilation=4),
-    dict(n=3, cin=8, cout=8, h=9, w=11),                       # odd sizes
-    dict(n=2, cin=4, cout=6, h=8, w=8, k=1, padding=0),        # 1x1
-]
-
-#: The engine matrix: every geometry below runs on every mode in
-#: ``F.CONV_ENGINE_MODES``.  Reference <-> blocked must agree bit for
-#: bit (all these geometries fit one im2col block at the default
-#: budget); winograd is tolerance-bound on its eligible geometries,
-#: int8 is bound by its a-priori quantisation error model on its
-#: eligible geometries, and both fall back to blocked (hence bit-exact
-#: again) on the rest.  The sweep deliberately includes the degenerate
-#: corners: 1x1 spatial output, single channel in/out, batch 1 vs N,
-#: kernels {1, 3, 5}, strides, paddings and dilation.
-ENGINE_MATRIX = [
-    dict(n=1, cin=3, cout=8, h=16, w=24),                     # stem-like
+#: The geometry matrix.  Every entry fits one im2col block at the
+#: default budget, where the blocked engine must equal
+#: ``conv2d_forward`` bit for bit.  The sweep deliberately includes the
+#: degenerate corners: 1x1 spatial output, single channel in/out, batch
+#: 1 vs N, kernels {1, 3, 5}, strides, paddings and dilation.
+GEOMETRIES = [
+    dict(n=1, cin=3, cout=8, h=24, w=32),                     # stem-like
+    dict(n=1, cin=3, cout=8, h=16, w=24),
     dict(n=5, cin=3, cout=8, h=16, w=24),                     # batch N
     dict(n=2, cin=8, cout=6, h=12, w=16, k=1, padding=0),     # 1x1 kernel
+    dict(n=2, cin=4, cout=6, h=8, w=8, k=1, padding=0),
     dict(n=2, cin=8, cout=6, h=12, w=16, k=5, padding=2),     # 5x5 kernel
     dict(n=3, cin=8, cout=8, h=13, w=9),                      # odd spatial
+    dict(n=3, cin=8, cout=8, h=9, w=11),
     dict(n=2, cin=8, cout=8, h=12, w=16, stride=2),           # strided
+    dict(n=4, cin=8, cout=8, h=24, w=32, stride=2),
     dict(n=2, cin=8, cout=8, h=12, w=16, padding=2,
          dilation=2),                                         # dilated
+    dict(n=2, cin=8, cout=4, h=12, w=16, padding=4, dilation=4),
     dict(n=2, cin=1, cout=1, h=10, w=10),                     # 1 channel
     dict(n=1, cin=4, cout=4, h=3, w=3, padding=0),            # 1x1 output
     dict(n=4, cin=6, cout=3, h=8, w=8, padding=2),            # fat padding
 ]
 
 
-def _contract_bit_exact(out, ref, blk, x, wt, geom):
-    assert np.array_equal(out, ref)
+def _block_rows(x, wt, s, p, d):
+    """Output rows per im2col block at the current budget."""
+    k = wt.shape[1] * wt.shape[2] * wt.shape[3]
+    out_w = F.conv_output_size(x.shape[3], wt.shape[3], s, p, d)
+    return F._BLOCK_KIB * 1024 // (k * out_w * x.dtype.itemsize)
 
 
-def _contract_winograd(out, ref, blk, x, wt, geom):
-    k, s, p, d = geom
-    out_h, out_w = ref.shape[2:]
-    if F._winograd_eligible(k, k, s, d, out_h, out_w):
-        np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-4)
-    else:
-        assert np.array_equal(out, blk)
-
-
-def _contract_int8(out, ref, blk, x, wt, geom):
-    k, s, p, d = geom
-    if F._int8_eligible(x.shape[1], k, k):
-        bound = quant.error_bound(
-            x.shape[1] * k * k, quant.activation_scales(x),
-            quant.weight_scales(wt).astype(np.float32), ref)
-        assert (np.abs(out.astype(np.float64) - ref) <= bound).all()
-    else:
-        assert np.array_equal(out, blk)
-
-
-#: Per-mode accuracy contract of the matrix sweep.  Keys must cover
-#: ``F.CONV_ENGINE_MODES`` exactly — adding an engine mode without
-#: declaring its contract here is a test failure by design.
-_MODE_CONTRACTS = {
-    "reference": _contract_bit_exact,
-    "blocked": _contract_bit_exact,   # single-block regime == reference
-    "winograd": _contract_winograd,
-    "int8": _contract_int8,
-}
-
-
-class TestEngineMatrix:
-    """Every mode in ``CONV_ENGINE_MODES`` over the geometry sweep."""
-
-    def test_every_mode_declares_a_contract(self):
-        assert set(_MODE_CONTRACTS) == set(F.CONV_ENGINE_MODES), \
-            "new engine mode must declare its matrix contract"
-
-    @pytest.mark.parametrize("mode", F.CONV_ENGINE_MODES)
-    @pytest.mark.parametrize("kw", ENGINE_MATRIX)
-    def test_engine_matrix_equivalence(self, kw, mode):
+class TestGeometryMatrix:
+    @pytest.mark.parametrize("kw", GEOMETRIES)
+    def test_matches_training_forward_bit_for_bit(self, kw):
         seed = sum(kw.values())  # randomized-but-seeded per geometry
         x, wt, b, s, p, d = _case(np.random.default_rng(seed), **kw)
-        with F.conv_engine(mode="reference"):
-            ref = F.conv2d_infer(x, wt, b, s, p, d)
-        with F.conv_engine(mode="blocked"):
-            blk = F.conv2d_infer(x, wt, b, s, p, d)
-        # Single-block regime: blocked degenerates to the reference
-        # GEMM exactly, making it a valid bit-exact fallback target.
-        assert np.array_equal(blk, ref)
-        with F.conv_engine(mode=mode):
-            out = F.conv2d_infer(x, wt, b, s, p, d)
-        _MODE_CONTRACTS[mode](out, ref, blk, x, wt,
-                              (kw.get("k", 3), s, p, d))
-
-    @pytest.mark.parametrize("kw", ENGINE_MATRIX)
-    def test_engine_matrix_batched_equals_per_sample(self, kw):
-        """Batch 1 vs N bit-for-bit, on every engine mode."""
-        seed = sum(kw.values()) + 1
-        x, wt, b, s, p, d = _case(np.random.default_rng(seed), **kw)
-        for mode in F.CONV_ENGINE_MODES:
-            with F.conv_engine(mode=mode):
-                batched = F.conv2d_infer(x, wt, b, s, p, d)
-                singles = np.concatenate([
-                    F.conv2d_infer(x[i:i + 1], wt, b, s, p, d)
-                    for i in range(x.shape[0])])
-            assert np.array_equal(batched, singles), mode
-
-
-class TestBlockedEngine:
-    @pytest.mark.parametrize("kw", CASES)
-    def test_blocked_matches_reference(self, kw):
-        x, wt, b, s, p, d = _case(np.random.default_rng(0), **kw)
-        with F.conv_engine(mode="reference"):
-            ref = F.conv2d_infer(x, wt, b, s, p, d)
-        with F.conv_engine(mode="blocked"):
-            out = F.conv2d_infer(x, wt, b, s, p, d)
-        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
-
-    @pytest.mark.parametrize("kw", CASES)
-    def test_blocked_matches_training_forward(self, kw):
-        x, wt, b, s, p, d = _case(np.random.default_rng(1), **kw)
+        out_h = F.conv_output_size(x.shape[2], wt.shape[2], s, p, d)
+        assert _block_rows(x, wt, s, p, d) >= out_h   # one block
         ref, _ = F.conv2d_forward(x, wt, b, s, p, d)
-        with F.conv_engine(mode="blocked"):
-            out = F.conv2d_infer(x, wt, b, s, p, d)
-        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
-
-    def test_single_block_is_bit_identical_to_reference(self):
-        # Geometry far below the block budget -> the blocked engine
-        # degenerates to exactly the reference GEMM.
-        x, wt, b, s, p, d = _case(np.random.default_rng(2), n=2, cin=4,
-                                  cout=4, h=8, w=8)
-        with F.conv_engine(mode="reference"):
-            ref = F.conv2d_infer(x, wt, b, s, p, d)
-        with F.conv_engine(mode="blocked"):
-            out = F.conv2d_infer(x, wt, b, s, p, d)
+        out = F.conv2d_infer(x, wt, b, s, p, d)
+        assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
 
-    def test_batched_equals_per_sample_bit_for_bit(self):
+    @pytest.mark.parametrize("kw", GEOMETRIES)
+    def test_batched_equals_per_sample(self, kw):
+        seed = sum(kw.values()) + 1
+        x, wt, b, s, p, d = _case(np.random.default_rng(seed), **kw)
+        batched = F.conv2d_infer(x, wt, b, s, p, d)
+        singles = np.concatenate([
+            F.conv2d_infer(x[i:i + 1], wt, b, s, p, d)
+            for i in range(x.shape[0])])
+        assert np.array_equal(batched, singles)
+
+
+class TestMultiBlock:
+    """The regime where the column matrix is split into row blocks."""
+
+    def test_default_budget_splits_wide_layers(self):
+        # C_in=24, 3x3 and out_w=128 give 3-row blocks at the default
+        # 384 KiB budget: several blocks with no knob touched.
+        x, wt, b, s, p, d = _case(np.random.default_rng(10), n=2, cin=24,
+                                  cout=8, h=12, w=128)
+        assert _block_rows(x, wt, s, p, d) == 3
+        ref, _ = F.conv2d_forward(x, wt, b, s, p, d)
+        out = F.conv2d_infer(x, wt, b, s, p, d)
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
+        singles = np.concatenate([F.conv2d_infer(x[i:i + 1], wt, b, s, p, d)
+                                  for i in range(x.shape[0])])
+        assert np.array_equal(out, singles)
+
+    def test_batched_equals_per_sample_bit_for_bit(self, monkeypatch):
         # The invariant the batched MC-dropout engine builds on: the
-        # block split never depends on the batch size.  Use a spatial
-        # size large enough to force multiple blocks at a small budget.
+        # block split never depends on the batch size.
+        monkeypatch.setattr(F, "_BLOCK_KIB", 64)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 8, 48, 64)).astype(np.float32)
         wt = rng.normal(size=(8, 8, 3, 3)).astype(np.float32)
-        with F.conv_engine(mode="blocked", block_kib=64):
-            batched = F.conv2d_infer(x, wt, None, padding=1)
-            singles = np.concatenate(
-                [F.conv2d_infer(x[i:i + 1], wt, None, padding=1)
-                 for i in range(x.shape[0])])
+        assert _block_rows(x, wt, 1, 1, 1) < 48
+        batched = F.conv2d_infer(x, wt, None, padding=1)
+        singles = np.concatenate(
+            [F.conv2d_infer(x[i:i + 1], wt, None, padding=1)
+             for i in range(x.shape[0])])
         assert np.array_equal(batched, singles)
 
-    def test_block_size_does_not_change_results_materially(self):
+    @pytest.mark.parametrize("kib", [1, 16, 4096])
+    def test_block_size_does_not_change_results_materially(
+            self, monkeypatch, kib):
         x, wt, b, s, p, d = _case(np.random.default_rng(4), n=2, cin=8,
                                   cout=8, h=48, w=64)
-        outs = []
-        for kib in (1, 16, 4096):
-            with F.conv_engine(mode="blocked", block_kib=kib):
-                outs.append(F.conv2d_infer(x, wt, b, s, p, d))
-        np.testing.assert_allclose(outs[0], outs[1], rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(outs[0], outs[2], rtol=1e-5, atol=1e-5)
+        ref, _ = F.conv2d_forward(x, wt, b, s, p, d)
+        monkeypatch.setattr(F, "_BLOCK_KIB", kib)
+        out = F.conv2d_infer(x, wt, b, s, p, d)
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
 
+
+class TestBroadcastAndBuffers:
     def test_broadcast_batch_computed_once(self):
         rng = np.random.default_rng(5)
         one = rng.normal(size=(1, 4, 8, 8)).astype(np.float32)
@@ -214,379 +136,46 @@ class TestBlockedEngine:
         for i in range(6):
             assert np.array_equal(y[i], ref[0])
 
-
-class TestNhwcOption:
-    @pytest.mark.parametrize("kw", CASES)
-    def test_nhwc_matches_nchw_to_reassociation(self, kw):
-        x, wt, b, s, p, d = _case(np.random.default_rng(6), **kw)
-        with F.conv_engine(layout="nhwc"):
-            nhwc = F.conv2d_infer(x, wt, b, s, p, d)
-        with F.conv_engine(layout="nchw"):
-            nchw = F.conv2d_infer(x, wt, b, s, p, d)
-        np.testing.assert_allclose(nhwc, nchw, rtol=1e-4, atol=1e-4)
-
-
-class TestWinogradDispatch:
-    """Mode selection, fallback and filter-cache behaviour.
-
-    The numerical certification of the winograd engine itself lives in
-    ``test_winograd_equivalence.py``; these tests pin the dispatch
-    plumbing.
-    """
-
-    def _data(self, seed, n=2, cin=8, cout=8, h=12, w=16, k=3):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, cin, h, w)).astype(np.float32)
-        wt = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
-        return x, wt
-
-    def test_winograd_mode_changes_bits_on_eligible_shapes(self):
-        # The mode must actually engage: an eligible conv under
-        # winograd differs from blocked in the low bits (same values to
-        # tolerance, different reassociation).
-        x, wt = self._data(0)
-        with F.conv_engine(mode="blocked"):
-            blk = F.conv2d_infer(x, wt, None, 1, 1, 1)
-        with F.conv_engine(mode="winograd"):
-            wg = F.conv2d_infer(x, wt, None, 1, 1, 1)
-        np.testing.assert_allclose(wg, blk, rtol=1e-4, atol=1e-4)
-        assert not np.array_equal(wg, blk), \
-            "winograd mode silently routed an eligible conv to blocked"
-
-    @pytest.mark.parametrize("kw", [
-        dict(k=1),                       # non-3x3
-        dict(k=5),                       # non-3x3
-        dict(stride=2),                  # strided
-        dict(dilation=2, padding=2),     # dilated
-        dict(h=6, w=6),                  # small-tile (9 tiles < minimum)
-        dict(h=4, w=3),                  # sub-2x2 output column count
-    ])
-    def test_ineligible_geometries_fall_back_bit_exact(self, kw):
-        k = kw.pop("k", 3)
-        h, w = kw.pop("h", 12), kw.pop("w", 16)
-        stride = kw.pop("stride", 1)
-        dilation = kw.pop("dilation", 1)
-        padding = kw.pop("padding", 1 if k == 3 else k // 2)
-        x, wt = self._data(1, h=h, w=w, k=k)
-        with F.conv_engine(mode="blocked"):
-            blk = F.conv2d_infer(x, wt, None, stride, padding, dilation)
-        with F.conv_engine(mode="winograd"):
-            wg = F.conv2d_infer(x, wt, None, stride, padding, dilation)
-        assert np.array_equal(wg, blk)
-
-    def test_broadcast_batch_computed_once_under_winograd(self):
-        rng = np.random.default_rng(2)
-        one = rng.normal(size=(1, 8, 16, 16)).astype(np.float32)
-        wt = rng.normal(size=(8, 8, 3, 3)).astype(np.float32)
-        tiled = np.broadcast_to(one, (6,) + one.shape[1:])
-        with F.conv_engine(mode="winograd"):
-            y = F.conv2d_infer(tiled, wt, None, padding=1)
-            ref = F.conv2d_infer(one, wt, None, padding=1)
-        assert y.strides[0] == 0
-        for i in range(6):
-            assert np.array_equal(y[i], ref[0])
-
-    def test_filter_transform_cached_and_invalidated(self):
-        _, wt = self._data(3)
-        F.clear_conv_buffers()
-        u1 = F._winograd_filter_transform(wt)
-        assert F._winograd_filter_transform(wt) is u1  # cache hit
-        # In-place weight update (what an optimiser step does) must
-        # invalidate by value, not serve the stale transform.
-        wt *= 2.0
-        u2 = F._winograd_filter_transform(wt)
-        assert u2 is not u1
-        np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-6)
-
-    def test_filter_transform_is_exact_for_exact_weights(self):
-        # G's entries are 0/0.5/1: transforms of power-of-two weights
-        # are exact in float32 (computed in float64, rounded once).
-        wt = np.full((2, 2, 3, 3), 4.0, dtype=np.float32)
-        u = F._winograd_filter_transform(wt)
-        # U = G g G^T of an all-4 filter: corner rows of G sum to 1 or
-        # 3... simply check against the float64 ground truth.
-        g64 = F._WINOGRAD_G @ wt.astype(np.float64) @ F._WINOGRAD_G.T
-        expect = g64.transpose(2, 3, 0, 1).reshape(16, 2, 2)
-        assert np.array_equal(u, expect.astype(np.float32))
-
-    def test_conv_layer_runs_winograd_in_eval(self):
-        layer = nn.Conv2d(4, 4, 3, padding=1, rng=0)
-        x = np.random.default_rng(4).normal(
-            size=(2, 4, 12, 16)).astype(np.float32)
-        layer.train()
-        y_train = layer(x)
-        layer.eval()
-        with F.conv_engine(mode="winograd"):
-            y_eval = layer(x)
-        np.testing.assert_allclose(y_eval, y_train, rtol=1e-4,
-                                   atol=1e-4)
-        assert layer._cache is None
-
-
-class TestInt8Dispatch:
-    """Int8 mode selection, fallback and weight-cache behaviour.
-
-    Mirrors ``TestWinogradDispatch``; the numerical certification of
-    the int8 engine lives in ``test_int8_equivalence.py``.
-    """
-
-    def _data(self, seed, n=2, cin=8, cout=8, h=12, w=16, k=3):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, cin, h, w)).astype(np.float32)
-        wt = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
-        return x, wt
-
-    def test_int8_mode_changes_bits_on_eligible_shapes(self):
-        # The mode must actually engage: an eligible conv under int8
-        # differs from blocked (quantisation error) while staying
-        # inside the certified tolerance.
-        x, wt = self._data(0)
-        with F.conv_engine(mode="blocked"):
-            blk = F.conv2d_infer(x, wt, None, 1, 1, 1)
-        with F.conv_engine(mode="int8"):
-            q = F.conv2d_infer(x, wt, None, 1, 1, 1)
-        # Quantisation error is absolute in units of the output scale
-        # (s_a * s_w * K), so the tolerance anchors to max|y|, not to
-        # each element.
-        np.testing.assert_allclose(
-            q, blk, rtol=0, atol=5e-2 * np.abs(blk).max())
-        assert not np.array_equal(q, blk), \
-            "int8 mode silently routed an eligible conv to blocked"
-
-    @pytest.mark.parametrize("kw", [
-        dict(k=1),            # kernel footprint below int8_min_kernel
-        dict(cin=120),        # K = 1080 > 1040: exactness bound breaks
-    ])
-    def test_ineligible_geometries_fall_back_bit_exact(self, kw):
-        k = kw.pop("k", 3)
-        cin = kw.pop("cin", 8)
-        padding = 1 if k == 3 else 0
-        x, wt = self._data(1, cin=cin, k=k)
-        assert not F._int8_eligible(cin, k, k)
-        with F.conv_engine(mode="blocked"):
-            blk = F.conv2d_infer(x, wt, None, 1, padding, 1)
-        with F.conv_engine(mode="int8"):
-            q = F.conv2d_infer(x, wt, None, 1, padding, 1)
-        assert np.array_equal(q, blk)
-
-    def test_strided_and_dilated_are_eligible(self):
-        # Unlike winograd, int8 reuses the blocked packing, so strided
-        # and dilated geometries run quantised (measured: identical
-        # overhead profile to the dense 3x3 case).
-        x, wt = self._data(2)
-        for s, p, d in ((2, 1, 1), (1, 2, 2), (1, 8, 8)):
-            with F.conv_engine(mode="blocked"):
-                blk = F.conv2d_infer(x, wt, None, s, p, d)
-            with F.conv_engine(mode="int8"):
-                q = F.conv2d_infer(x, wt, None, s, p, d)
-            assert not np.array_equal(q, blk), (s, p, d)
-            np.testing.assert_allclose(
-                q, blk, rtol=0, atol=5e-2 * np.abs(blk).max())
-
-    def test_min_kernel_knob_opts_1x1_in_and_3x3_out(self):
-        x, wt = self._data(3, k=1)
-        x3, wt3 = self._data(3)
-        with F.conv_engine(mode="blocked"):
-            blk1 = F.conv2d_infer(x, wt, None, 1, 0, 1)
-            blk3 = F.conv2d_infer(x3, wt3, None, 1, 1, 1)
-        with F.conv_engine(mode="int8", int8_min_kernel=1):
-            q1 = F.conv2d_infer(x, wt, None, 1, 0, 1)
-        with F.conv_engine(mode="int8", int8_min_kernel=10):
-            q3 = F.conv2d_infer(x3, wt3, None, 1, 1, 1)
-        assert not np.array_equal(q1, blk1)   # 1x1 now quantised
-        assert np.array_equal(q3, blk3)       # 3x3 now falls back
-
-    def test_broadcast_batch_computed_once_under_int8(self):
-        rng = np.random.default_rng(4)
-        one = rng.normal(size=(1, 8, 16, 16)).astype(np.float32)
-        wt = rng.normal(size=(8, 8, 3, 3)).astype(np.float32)
-        tiled = np.broadcast_to(one, (6,) + one.shape[1:])
-        with F.conv_engine(mode="int8"):
-            y = F.conv2d_infer(tiled, wt, None, padding=1)
-            ref = F.conv2d_infer(one, wt, None, padding=1)
-        assert y.strides[0] == 0
-        for i in range(6):
-            assert np.array_equal(y[i], ref[0])
-
-    def test_quantised_weights_cached_and_invalidated(self):
-        _, wt = self._data(5)
-        F.clear_conv_buffers()
-        q1 = F._INT8_WEIGHT_CACHE.get(wt)
-        assert F._INT8_WEIGHT_CACHE.get(wt) is q1  # cache hit
-        # In-place weight update (what an optimiser step does) must
-        # invalidate by value, not serve stale codes.
-        wt *= 2.0
-        q2 = F._INT8_WEIGHT_CACHE.get(wt)
-        assert q2 is not q1
-        # Doubling the weights doubles the scales, codes unchanged.
-        np.testing.assert_allclose(q2.scale, 2.0 * q1.scale, rtol=1e-6)
-        assert np.array_equal(q2.q, q1.q)
-
-    def test_quantised_weight_codes_are_int8_and_match_gemm_operand(self):
-        _, wt = self._data(6)
-        qw = F._INT8_WEIGHT_CACHE.get(wt)
-        assert qw.q.dtype == np.int8
-        assert qw.gemm.dtype == np.float32
-        assert np.array_equal(qw.q.astype(np.float32), qw.gemm)
-        assert np.abs(qw.gemm).max() <= 127
-        assert not qw.q.flags.writeable
-        assert not qw.gemm.flags.writeable
-
-    def test_conv_layer_runs_int8_in_eval(self):
-        layer = nn.Conv2d(4, 4, 3, padding=1, rng=0)
-        x = np.random.default_rng(7).normal(
-            size=(2, 4, 12, 16)).astype(np.float32)
-        layer.train()
-        y_train = layer(x)
-        layer.eval()
-        with F.conv_engine(mode="int8"):
-            y_eval = layer(x)
-        np.testing.assert_allclose(y_eval, y_train, rtol=5e-2,
-                                   atol=5e-2)
-        assert layer._cache is None
-
-
-class TestSharedPerWeightCache:
-    """The one keyed cache behind winograd filters and int8 weights."""
-
-    def test_both_caches_are_per_weight_cache_instances(self):
-        assert isinstance(F._WINOGRAD_FILTER_CACHE, F._PerWeightCache)
-        assert isinstance(F._INT8_WEIGHT_CACHE, F._PerWeightCache)
-
-    def test_in_place_update_invalidates_both_caches(self):
-        # Regression: one optimiser step must never leave either
-        # engine serving stale derived weights.
-        wt = np.random.default_rng(8).normal(
-            size=(4, 4, 3, 3)).astype(np.float32)
-        F.clear_conv_buffers()
-        u1 = F._winograd_filter_transform(wt)
-        q1 = F._INT8_WEIGHT_CACHE.get(wt)
-        wt += 0.25
-        u2 = F._winograd_filter_transform(wt)
-        q2 = F._INT8_WEIGHT_CACHE.get(wt)
-        assert u2 is not u1
-        assert q2 is not q1
-        np.testing.assert_allclose(
-            u2, F._winograd_filter_compute(wt), rtol=0, atol=0)
-        np.testing.assert_allclose(
-            q2.scale, quant.quantize_weight(wt).scale, rtol=0, atol=0)
-
-    def test_clear_conv_buffers_empties_every_registered_cache(self):
-        F.clear_conv_buffers()
-        wt = np.random.default_rng(9).normal(
-            size=(2, 2, 3, 3)).astype(np.float32)
-        F._winograd_filter_transform(wt)
-        F._INT8_WEIGHT_CACHE.get(wt)
-        assert len(F._WINOGRAD_FILTER_CACHE) == 1
-        assert len(F._INT8_WEIGHT_CACHE) == 1
-        F.clear_conv_buffers()
-        assert len(F._WINOGRAD_FILTER_CACHE) == 0
-        assert len(F._INT8_WEIGHT_CACHE) == 0
-
-    def test_cache_is_bounded(self):
-        F.clear_conv_buffers()
-        cache = F._PerWeightCache(lambda w: w * 2.0, cap=4)
-        weights = [np.full((1, 1, 3, 3), float(i), dtype=np.float32)
-                   for i in range(6)]
-        for w in weights:
-            cache.get(w)
-        assert len(cache) <= 4
-        F._PerWeightCache._instances.remove(cache)
-
-    def test_id_reuse_detected_by_value(self):
-        # Same id(), different values (the gc-reuse hazard): the
-        # defensive copy must force a recompute.
-        cache = F._PerWeightCache(lambda w: w.sum())
-        w = np.ones((2, 2), dtype=np.float32)
-        assert cache.get(w) == 4.0
-        w[:] = 2.0                     # same object, new values
-        assert cache.get(w) == 8.0
-        F._PerWeightCache._instances.remove(cache)
-
-
-class TestEnvOverride:
-    """``REPRO_CONV_ENGINE`` seeds the default engine mode."""
-
-    @pytest.mark.parametrize("mode", ["winograd", "int8"])
-    def test_env_override_applies_on_reset(self, monkeypatch, mode):
-        monkeypatch.setenv(F.CONV_ENGINE_ENV, mode)
-        cfg = F.reset_conv_engine()
-        assert cfg["mode"] == mode
-        assert F.get_conv_engine()["mode"] == mode
-
-    def test_no_env_resets_to_builtin_default(self, monkeypatch):
-        monkeypatch.delenv(F.CONV_ENGINE_ENV, raising=False)
-        F.set_conv_engine(mode="reference", block_kib=7,
-                          int8_min_kernel=9)
-        cfg = F.reset_conv_engine()
-        assert cfg == {"mode": "blocked", "layout": "nchw",
-                       "block_kib": 384, "int8_min_kernel": 2}
-
-    def test_invalid_env_mode_raises(self, monkeypatch):
-        monkeypatch.setenv(F.CONV_ENGINE_ENV, "fft")
-        with pytest.raises(ValueError, match="REPRO_CONV_ENGINE"):
-            F.reset_conv_engine()
-
-
-class TestEngineConfig:
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            F.set_conv_engine(mode="banana")
-        with pytest.raises(ValueError):
-            F.set_conv_engine(layout="chwn")
-        with pytest.raises(ValueError):
-            F.set_conv_engine(block_kib=0)
-        with pytest.raises(ValueError):
-            F.set_conv_engine(int8_min_kernel=0)
-
-    @pytest.mark.parametrize("mode", ["winograd", "int8"])
-    def test_engine_modes_are_valid(self, mode):
-        assert mode in F.CONV_ENGINE_MODES
-        with F.conv_engine(mode=mode):
-            assert F.get_conv_engine()["mode"] == mode
-
-    def test_set_conv_engine_restores_prior_state_via_reset(self):
-        before = F.get_conv_engine()
-        F.set_conv_engine(mode="winograd", block_kib=64)
-        F.set_conv_engine(**before)
-        assert F.get_conv_engine() == before
-
-    def test_context_manager_restores(self):
-        before = F.get_conv_engine()
-        with F.conv_engine(mode="reference", block_kib=7):
-            assert F.get_conv_engine()["mode"] == "reference"
-        assert F.get_conv_engine() == before
-
-    def test_context_manager_restores_on_error(self):
-        before = F.get_conv_engine()
-        with pytest.raises(RuntimeError):
-            with F.conv_engine(mode="reference"):
-                raise RuntimeError("boom")
-        assert F.get_conv_engine() == before
-
     def test_clear_conv_buffers(self):
         x, wt, b, s, p, d = _case(np.random.default_rng(7), n=1, cin=4,
                                   cout=4, h=8, w=8)
-        F.conv2d_infer(x, wt, b, s, p, d)
+        first = F.conv2d_infer(x, wt, b, s, p, d)
+        assert F._COL_BUFFERS
         F.clear_conv_buffers()
+        assert not F._COL_BUFFERS
         out = F.conv2d_infer(x, wt, b, s, p, d)
-        assert out.shape == (1, 4, 8, 8)
+        assert np.array_equal(out, first)
+
+    def test_channel_mismatch_rejected(self):
+        x, wt, b, s, p, d = _case(np.random.default_rng(8), n=1, cin=4,
+                                  cout=4, h=8, w=8)
+        with pytest.raises(ValueError, match="channels"):
+            F.conv2d_infer(x[:, :3], wt, b, s, p, d)
 
 
 class TestConvLayerDispatch:
-    def test_eval_forward_matches_training_forward(self):
-        layer = nn.Conv2d(3, 5, 3, padding=1, rng=0)
+    LAYERS = [
+        dict(in_channels=3, out_channels=5, kernel_size=3, padding=1),
+        dict(in_channels=4, out_channels=4, kernel_size=1),
+        dict(in_channels=4, out_channels=6, kernel_size=5, padding=2),
+        dict(in_channels=6, out_channels=6, kernel_size=3, padding=4,
+             dilation=4),
+        dict(in_channels=3, out_channels=8, kernel_size=3, padding=1,
+             stride=2),
+        dict(in_channels=5, out_channels=3, kernel_size=3, padding=1,
+             bias=False),
+    ]
+
+    @pytest.mark.parametrize("cfg", LAYERS)
+    def test_eval_forward_matches_training_forward(self, cfg):
+        layer = nn.Conv2d(**cfg, rng=0)
         x = np.random.default_rng(8).normal(
-            size=(2, 3, 10, 12)).astype(np.float32)
+            size=(2, cfg["in_channels"], 10, 12)).astype(np.float32)
         layer.train()
         y_train = layer(x)
         layer.eval()
-        # Pin the bit-exact engine: eval-vs-train dispatch is what is
-        # under test here, not an approximate mode's envelope (those
-        # are certified in the per-engine equivalence suites).
-        with F.conv_engine(mode="blocked"):
-            y_eval = layer(x)
-        np.testing.assert_allclose(y_eval, y_train, rtol=1e-5, atol=1e-5)
+        y_eval = layer(x)
+        assert np.array_equal(y_eval, y_train)
 
     def test_eval_forward_retains_no_cache(self):
         layer = nn.Conv2d(3, 5, 3, padding=1, rng=0)
