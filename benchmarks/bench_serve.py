@@ -148,7 +148,8 @@ async def _overload_burst(model, config, frame, box):
     stats = broker.stats
     ledger_ok = (stray == 0
                  and stats["admitted"] == served
-                 and stats["rejected_queue_full"] == rejected)
+                 and stats["rejected_queue_full"]
+                 + stats["rejected_invalid"] == rejected)
     return {"requests": OVERLOAD_REQUESTS, "served": served,
             "rejected_queue_full": rejected, "queue_depth": 2,
             "ledger_balanced": bool(ledger_ok)}
@@ -168,7 +169,8 @@ async def _serve_phase(model, config, frame):
     stats = broker.stats
     admitted = stats["admitted"] - before["admitted"]
     open_ok = (len(latencies) + rejected == OPEN_LOOP_REQUESTS
-               and admitted == len(latencies))
+               and admitted == len(latencies)
+               and stats["rejected_invalid"] == 0)
     overload = await _overload_burst(model, config, frame, boxes[0])
     stats = dict(stats)
     stats["waves"] = stats["waves"] - before["waves"]  # open loop only

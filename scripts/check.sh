@@ -23,6 +23,12 @@ echo "== tier-1 tests =="
 python -m pytest tests -q -x
 
 echo
+echo "== perfbench self-tests =="
+# The benchmark harness's own arithmetic (percentiles, per-layer
+# self time) and the removal of its trace wrappers.
+python -m pytest perfbench/tests -q
+
+echo
 # The non-bit-exact monitor modes, each re-run as the process default
 # over the suites that touch it (certification harness included):
 # toggle -> suites.  REPRO_MONITOR_SHARED=1 reroutes every joint

@@ -31,6 +31,10 @@ Shipped rules (``python -m repro.analysis --list-rules``):
 * **Knob-surface drift** (:mod:`repro.analysis.checkers.knobs`) —
   every ``EngineConfig``/``MonitorConfig``/``DecisionConfig`` field is
   documented in its class docstring and the README.
+* **Monitor fail-closed form** (:mod:`repro.analysis.checkers
+  .monitor_rule`) — Eq. (2)'s threshold tests in ``core/monitor.py``
+  and ``eval/monitor_metrics.py`` are never written ``x > tau``, which
+  counts a NaN statistic as safe.
 
 False positives are silenced per line with ``# repro-lint:
 disable=RULE`` (plus a one-line justification) or grandfathered via

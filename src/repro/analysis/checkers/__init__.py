@@ -6,6 +6,7 @@ from repro.analysis.checkers.engine_mode import EngineModeChecker
 from repro.analysis.checkers.fork_purity import ForkPurityChecker
 from repro.analysis.checkers.fp32 import Fp32FirewallChecker
 from repro.analysis.checkers.knobs import KnobSurfaceChecker
+from repro.analysis.checkers.monitor_rule import MonitorRuleChecker
 from repro.analysis.checkers.rng import RngDisciplineChecker
 
 #: Instantiation order fixes the report order of equal-position
@@ -15,6 +16,7 @@ CHECKER_CLASSES = (
     ForkPurityChecker,
     Fp32FirewallChecker,
     KnobSurfaceChecker,
+    MonitorRuleChecker,
     RngDisciplineChecker,
 )
 
@@ -24,5 +26,6 @@ __all__ = [
     "ForkPurityChecker",
     "Fp32FirewallChecker",
     "KnobSurfaceChecker",
+    "MonitorRuleChecker",
     "RngDisciplineChecker",
 ]

@@ -27,9 +27,11 @@ and ``repro.core``.  Four rules:
 
 The *documented float64 islands* — places that deliberately leave
 float32 and cast at a single boundary — are allowlisted in
-``FLOAT64_ISLANDS`` with their justification.  Anything new either
-stays float32 or earns an inline ``# repro-lint: disable=...`` with a
-one-line reason.
+``FLOAT64_ISLANDS`` with their justification.  Monte-Carlo moments have
+exactly one: ``BayesianSegmenter``'s ``_RunningMoments``, which every
+MC path (the episode engine's joint, shared and serve passes included)
+accumulates through.  Anything new either stays float32 or earns an
+inline ``# repro-lint: disable=...`` with a one-line reason.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ FLOAT64_ISLANDS: tuple[tuple[str, str | None, str], ...] = (
     ("src/repro/segmentation/bayesian.py", "_RunningMoments",
      "float64 running sum / sum-of-squares in strict sample order — "
      "the accumulator behind every bit-for-bit moments contract"),
-    ("src/repro/core/engine.py", "EpisodeScheduler._joint_distributions",
-     "chunk-vectorised MC moment accumulation in float64, mirroring "
-     "BayesianSegmenter's accumulator island"),
     ("src/repro/core/landing_zone.py", "LandingZoneSelector",
      "clearance maps are metric distances (metres), not tensors; "
      "scipy's distance transform returns float64"),

@@ -38,7 +38,11 @@ stages with cross-episode batching:
   driven through :class:`repro.core.decision.DecisionCursor` (see
   ``benchmarks/bench_episode_engine.py``), seeded and reproducible, but
   on a different (documented) RNG stream than the per-episode sequence,
-  exactly like ``RuntimeMonitor.check_zones(joint=True)``.
+  exactly like ``RuntimeMonitor.check_zones(joint=True)``.  Each pass
+  is :meth:`repro.segmentation.bayesian.BayesianSegmenter
+  .predict_distribution_stack` on the joint segmenter, so its moments
+  are bit-identical to that call on the same seeded stack (one running
+  accumulator per crop, in sample order).
 * **Shared-context monitoring** (``monitor_batching="shared"``): the
   joint pass, minus the redundant pixels.  Each episode's pending crops
   are clustered into stride-aligned union windows
@@ -90,6 +94,7 @@ from repro.core.landing_zone import LandingZoneSelector
 from repro.core.monitor import (
     RuntimeMonitor,
     UnionWindow,
+    check_zone_box,
     pad_span,
     shared_context_default,
 )
@@ -730,53 +735,15 @@ class EpisodeScheduler:
             active = nxt
         self._finish_wave(states, results, wave_t0, passes_s)
 
-    def _joint_distributions(self, stack: np.ndarray,
-                             base: np.ndarray | None = None) -> list:
-        """MC statistics for a stack of zone crops, chunk-vectorised.
+    def _stack_pass(self, stack: np.ndarray, bases=None) -> list:
+        """One full-``T`` jointly seeded pass on the joint segmenter.
 
-        Same tiles, same jointly seeded mask stream and same chunking
-        as ``predict_distribution_stack`` on the joint segmenter, but
-        sample sums accumulate one *chunk segment* at a time instead of
-        one sample at a time — an order-of-association change in the
-        last float64 ulp, permitted on the joint path (whose RNG stream
-        is already documented as its own) and worth a large slice of
-        Python overhead when many small crops are stacked.  ``base``
-        optionally carries precomputed deterministic-stem activations
-        (the shared-context engine's temporal reuse); stems are
-        deterministic, so a cached stem is bit-identical to a
-        recomputed one.
+        ``bases`` optionally carries precomputed deterministic-stem
+        activations (the shared-context engine's temporal reuse).
         """
-        from repro.segmentation.bayesian import PixelDistribution
-
-        seg = self._joint_segmenter
-        t = self.config.monitor.num_samples
-        n = stack.shape[0]
-        acc = acc_sq = None
-        chunks = seg._mc_chunks(stack, t, self.engine.joint_max_batch,
-                                base=base)
-        try:
-            for owners, scores in chunks:
-                s = scores.astype(np.float64)
-                # Owners arrive sorted; one reduceat segment per owner
-                # present in the chunk (unique within a chunk).
-                starts = np.flatnonzero(
-                    np.r_[True, owners[1:] != owners[:-1]])
-                sums = np.add.reduceat(s, starts, axis=0)
-                sums_sq = np.add.reduceat(s * s, starts, axis=0)
-                seg_owner = owners[starts]
-                if acc is None:
-                    shape = (n,) + s.shape[1:]
-                    acc = np.zeros(shape, dtype=np.float64)
-                    acc_sq = np.zeros(shape, dtype=np.float64)
-                acc[seg_owner] += sums
-                acc_sq[seg_owner] += sums_sq
-        finally:
-            chunks.close()
-        mean = acc / t
-        var = np.maximum(acc_sq / t - mean ** 2, 0.0)
-        std = np.sqrt(var)
-        return [PixelDistribution(mean=mean[i], std=std[i],
-                                  num_samples=t) for i in range(n)]
+        return self._joint_segmenter.predict_distribution_stack(
+            stack, num_samples=self.config.monitor.num_samples,
+            max_batch=self.engine.joint_max_batch, bases=bases)
 
     def _joint_pass(self, entries) -> float:
         """One jointly seeded stacked Bayesian pass over zone crops.
@@ -807,7 +774,7 @@ class EpisodeScheduler:
                 crops, [[roi] for _, roi in boxes_rois],
                 self.engine.joint_max_batch)
         else:
-            distributions = self._joint_distributions(np.stack(crops))
+            distributions = self._stack_pass(np.stack(crops))
         # Eq. (2) over the whole stack at once — both the interval and
         # the threshold rule live in their single homes.
         upper = np.stack([d.upper_confidence(cfg.sigma_multiplier)
@@ -843,12 +810,15 @@ class EpisodeScheduler:
         ``monitor_batching="joint"``): seeded and reproducible for a
         fixed wave sequence, independent of the engine's
         ``monitor_batching`` knob, and composing with adaptive
-        early-exit monitoring when that is active.
+        early-exit monitoring when that is active.  Raises
+        ``ValueError`` for a malformed image or a box that is empty or
+        leaves its frame (the serve broker sheds those at admission).
         """
         if not items:
             return []
-        for k, (image, _) in enumerate(items):
+        for k, (image, box) in enumerate(items):
             check_image_chw(f"items[{k}]", image)
+            check_zone_box(image, box)
         monitor = self._joint_monitor
         cfg = self.config.monitor
         verdicts: list = [None] * len(items)
@@ -871,8 +841,7 @@ class EpisodeScheduler:
                     crops, [[roi] for _, roi in boxes_rois],
                     self.engine.joint_max_batch)
             else:
-                distributions = self._joint_distributions(
-                    np.stack(crops))
+                distributions = self._stack_pass(np.stack(crops))
             upper = np.stack([d.upper_confidence(cfg.sigma_multiplier)
                               for d in distributions])
             unsafe = monitor.unsafe_from_upper(upper)
@@ -891,9 +860,9 @@ class EpisodeScheduler:
         Each active episode's pending crops are clustered into
         stride-aligned union windows; windows are grouped *across*
         episodes by window shape and each group runs as one jointly
-        seeded stacked Bayesian pass (chunk-vectorised moments, like
-        the joint path) with per-zone moments sliced from the window
-        maps.  ``caches`` maps episode index to the previous frame's
+        seeded stacked Bayesian pass (``predict_distribution_stack``,
+        like the joint path) with per-zone moments sliced from the
+        window maps.  ``caches`` maps episode index to the previous frame's
         ``{window box: (pixels, stem)}`` entries; windows whose pixels
         are unchanged (same box, or the box shifted by the episode's
         ``drift_px`` hint — always verified by exact pixel comparison)
@@ -1072,7 +1041,7 @@ class EpisodeScheduler:
                 crops, member_rois, self.engine.joint_max_batch,
                 bases=None if base is None else list(base))
         else:
-            distributions = self._joint_distributions(stack, base=base)
+            distributions = self._stack_pass(stack, bases=base)
         upper = np.stack([d.upper_confidence(cfg.sigma_multiplier)
                           for d in distributions])
         unsafe = monitor.unsafe_from_upper(upper)

@@ -103,8 +103,8 @@ from repro.utils.geometry import Box
 from repro.utils.validation import check_image_chw, check_probability
 
 __all__ = ["MonitorConfig", "ZoneVerdict", "UnionWindow",
-           "RuntimeMonitor", "pad_span", "shared_context_default",
-           "adaptive_default"]
+           "RuntimeMonitor", "pad_span", "check_zone_box",
+           "shared_context_default", "adaptive_default"]
 
 #: Environment toggle: ``REPRO_MONITOR_SHARED=1`` makes every
 #: ``joint=True`` monitoring path run through the shared-context
@@ -146,6 +146,24 @@ def adaptive_default() -> bool:
     sampling.
     """
     return os.environ.get(_ADAPTIVE_ENV, "") == "1"
+
+
+def check_zone_box(image: np.ndarray, box: Box) -> None:
+    """Raise ``ValueError`` unless ``box`` is a non-empty zone that lies
+    inside ``image``'s frame.
+
+    The monitor can only judge pixels it sees.  A box that leaves the
+    frame would be judged on its visible part alone, so a zone that is
+    mostly unseen could be accepted (fail open).  Every monitor entry
+    point, the episode engine's wave entry point and the serve broker's
+    admission run this test.
+    """
+    if box.is_empty():
+        raise ValueError("cannot check an empty zone box")
+    h, w = np.shape(image)[-2:]
+    if not Box(0, 0, h, w).contains_box(box):
+        raise ValueError(
+            f"zone box {box} is not inside the {h}x{w} frame")
 
 
 def pad_span(start: int, extent: int, limit: int, stride: int,
@@ -711,11 +729,11 @@ class RuntimeMonitor:
         SS model -> mean and std segmentations -> zone confirmation.
         The pass runs on the batched engine (all ``T`` MC samples in
         chunked batched forwards; ``max_batch`` overrides the
-        segmenter's chunk size).
+        segmenter's chunk size).  A box that is empty or leaves the
+        frame raises ``ValueError`` (:func:`check_zone_box`).
         """
         check_image_chw("image", image)
-        if box.is_empty():
-            raise ValueError("cannot check an empty zone box")
+        check_zone_box(image, box)
         crop, roi = self._stride_padded_crop(image, box)
         cfg = self.config
         if self._adaptive_active():
@@ -768,13 +786,14 @@ class RuntimeMonitor:
         window, per-zone moments sliced from the window stack (see the
         module docstring).  ``shared=None`` (default) resolves from the
         ``REPRO_MONITOR_SHARED`` environment toggle for ``joint=True``
-        calls and stays off otherwise.
+        calls and stays off otherwise.  In every mode a box that is
+        empty or leaves the frame raises ``ValueError`` before any
+        pass runs.
         """
         check_image_chw("image", image)
         boxes = list(boxes)
         for box in boxes:
-            if box.is_empty():
-                raise ValueError("cannot check an empty zone box")
+            check_zone_box(image, box)
         if not boxes:
             return []
         if shared is None:

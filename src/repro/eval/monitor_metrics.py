@@ -134,8 +134,11 @@ def tau_sweep(distribution: PixelDistribution, gt_labels: np.ndarray,
     """Monitor operating points over a threshold sweep (the ROC data).
 
     For each ``tau``: the monitor's busy-road flag is
-    ``any_k (mu_k + s*sigma_k > tau)``; true positives are flags on true
-    busy-road pixels, false positives are flags on safe pixels.
+    ``any_k not (mu_k + s*sigma_k <= tau)``; true positives are flags on
+    true busy-road pixels, false positives are flags on safe pixels.
+    Like the runtime rule, the flag is True for a NaN statistic, so a
+    non-finite pixel scores as flagged (fails closed); on finite input
+    this is ``max_k (mu_k + s*sigma_k) > tau``.
     """
     gt_road = busy_road_mask(np.asarray(gt_labels))
     upper = distribution.upper_confidence(sigma_multiplier)
@@ -146,7 +149,7 @@ def tau_sweep(distribution: PixelDistribution, gt_labels: np.ndarray,
     n_road = int(gt_road.sum())
     n_safe = int((~gt_road).sum())
     for tau in taus:
-        flagged = max_road_upper > tau
+        flagged = ~(max_road_upper <= tau)
         tpr = float((flagged & gt_road).sum() / n_road) if n_road else \
             float("nan")
         fpr = float((flagged & ~gt_road).sum() / n_safe) if n_safe else \

@@ -6,7 +6,7 @@ this module implements the required primitives from scratch:
 
 * dilated / strided 2-D convolution via ``im2col``/``col2im``,
 * an inference-only convolution (:func:`conv2d_infer`) with blocked
-  im2col and buffer reuse,
+  im2col, buffer reuse and channel-indexed inputs,
 * non-overlapping max pooling,
 * bilinear and nearest-neighbour resizing with exact adjoints,
 * numerically-stable softmax / log-softmax.
@@ -30,6 +30,16 @@ slice, but *not* across different column splits, so the splits must
 match).  When one block covers the whole output the GEMM is exactly
 :func:`conv2d_forward`'s, so the two agree bit for bit.  Everything is
 float32-contiguous end to end.
+
+The optional ``index`` argument covers inputs whose samples are built
+channel by channel from a few candidate planes, as after a channel
+dropout in the MC-dropout suffix: sample ``n``'s channel ``c`` is plane
+``index[n, c]``'s channel ``c``.  im2col works channel by channel, so a
+single-block geometry packs each plane once and then gathers every
+sample's column blocks (one contiguous ``kh * kw * L`` block per
+channel) into the pooled buffer; the per-sample GEMM is unchanged, so
+the output is bit-identical to the materialised input's.  A
+multi-block geometry materialises the input and takes the usual path.
 """
 
 from __future__ import annotations
@@ -218,17 +228,19 @@ def clear_conv_buffers() -> None:
     _COL_BUFFERS.clear()
 
 
-def _col_buffer(capacity: int, dtype) -> np.ndarray:
+def _col_buffer(capacity: int, dtype, slot: str = "cols") -> np.ndarray:
     """A flat scratch array of at least ``capacity`` elements.
 
     Keyed by the rounded-up capacity so repeated layer geometries reuse
     one allocation instead of paying a multi-MB ``np.empty`` (and the
-    page faults behind it) per conv call.
+    page faults behind it) per conv call.  ``slot`` separates buffers
+    that must be live at the same time (the gathered path's candidate
+    columns and the per-sample columns built from them).
     """
     # Round capacity up to the next power of two so nearby geometries
     # share an entry and the pool stays small.
     cap = 1 << (int(capacity) - 1).bit_length()
-    key = (cap, np.dtype(dtype).str)
+    key = (cap, np.dtype(dtype).str, slot)
     buf = _COL_BUFFERS.get(key)
     if buf is None:
         if len(_COL_BUFFERS) >= _COL_BUFFER_CAP:
@@ -238,9 +250,26 @@ def _col_buffer(capacity: int, dtype) -> np.ndarray:
     return buf
 
 
+def _pack_cols(cols: np.ndarray, xp: np.ndarray, r0: int, stride: int,
+               dilation: int) -> None:
+    """im2col of output rows ``r0 .. r0 + rb`` of padded ``xp``.
+
+    ``cols`` is ``(N, C, kh, kw, rb, out_w)``; every (sample, channel)
+    pair owns one contiguous ``kh * kw * rb * out_w`` block of it.
+    """
+    kh, kw, rb, out_w = cols.shape[2:]
+    for i in range(kh):
+        a0 = i * dilation + r0 * stride
+        for j in range(kw):
+            c0 = j * dilation
+            cols[:, :, i, j] = xp[:, :, a0:a0 + stride * rb:stride,
+                                  c0:c0 + stride * out_w:stride]
+
+
 def _conv2d_infer_blocked(x: np.ndarray, weight: np.ndarray,
                           bias: np.ndarray | None, stride: int,
-                          padding: int, dilation: int) -> np.ndarray:
+                          padding: int, dilation: int,
+                          index: np.ndarray | None = None) -> np.ndarray:
     """Blocked im2col + fused GEMM, NCHW.
 
     Output rows are processed in blocks sized so one *per-sample* im2col
@@ -248,13 +277,18 @@ def _conv2d_infer_blocked(x: np.ndarray, weight: np.ndarray,
     pooled scratch buffer and multiplied immediately (the fused path),
     so the full ``(N, K, L)`` column matrix never exists.  A single
     block degenerates to exactly :func:`conv2d_forward`'s GEMM.
+
+    With ``index`` (see :func:`conv2d_infer`) a single-block geometry
+    packs the candidate planes once and gathers each sample's columns
+    channel block by channel block; a multi-block geometry materialises
+    the indexed input first.
     """
-    n, c, h, w = x.shape
+    n = x.shape[0] if index is None else index.shape[0]
+    c, h, w = x.shape[1:]
     c_out, c_in, kh, kw = weight.shape
     out_h = conv_output_size(h, kh, stride, padding, dilation)
     out_w = conv_output_size(w, kw, stride, padding, dilation)
     k = c_in * kh * kw
-    xp = _pad_nchw(x, padding)
     w2 = weight.reshape(c_out, k)
 
     itemsize = x.dtype.itemsize
@@ -262,17 +296,30 @@ def _conv2d_infer_blocked(x: np.ndarray, weight: np.ndarray,
     # module docstring — this is what keeps batched == sequential).
     rows = max(1, int(_BLOCK_KIB * 1024 // (k * out_w * itemsize)))
     rows = min(rows, out_h)
+    if index is not None and rows < out_h:
+        x = x[index, np.arange(c, dtype=np.intp)]
+        index = None
+    xp = _pad_nchw(x, padding)
 
     if rows == out_h:
         # Single block: pack once into the pooled buffer, one GEMM.
-        cols = _col_buffer(n * k * out_h * out_w, x.dtype)[
-            :n * k * out_h * out_w].reshape(n, c, kh, kw, out_h, out_w)
-        for i in range(kh):
-            r0 = i * dilation
-            for j in range(kw):
-                c0 = j * dilation
-                cols[:, :, i, j] = xp[:, :, r0:r0 + stride * out_h:stride,
-                                      c0:c0 + stride * out_w:stride]
+        size = n * k * out_h * out_w
+        cols = _col_buffer(size, x.dtype)[:size].reshape(
+            n, c, kh, kw, out_h, out_w)
+        if index is None:
+            _pack_cols(cols, xp, 0, stride, dilation)
+        else:
+            planes = x.shape[0]
+            psize = planes * k * out_h * out_w
+            cand = _col_buffer(psize, x.dtype, slot="planes")[
+                :psize].reshape(planes, c, kh, kw, out_h, out_w)
+            _pack_cols(cand, xp, 0, stride, dilation)
+            # Row ``s * C + c`` of the flat views is plane s's channel-c
+            # block.  mode="clip" writes straight into ``out`` (the
+            # default "raise" buffers it); the caller checked bounds.
+            src = (index * c + np.arange(c, dtype=np.intp)).ravel()
+            np.take(cand.reshape(planes * c, -1), src, axis=0,
+                    out=cols.reshape(n * c, -1), mode="clip")
         out = np.matmul(w2, cols.reshape(n, k, out_h * out_w))
         y = out.reshape(n, c_out, out_h, out_w)
     else:
@@ -282,13 +329,7 @@ def _conv2d_infer_blocked(x: np.ndarray, weight: np.ndarray,
             rb = min(rows, out_h - r0)
             cols = flat[:n * k * rb * out_w].reshape(n, c, kh, kw, rb,
                                                      out_w)
-            for i in range(kh):
-                a0 = i * dilation + r0 * stride
-                for j in range(kw):
-                    c0 = j * dilation
-                    cols[:, :, i, j] = xp[:, :,
-                                          a0:a0 + stride * rb:stride,
-                                          c0:c0 + stride * out_w:stride]
+            _pack_cols(cols, xp, r0, stride, dilation)
             res = np.matmul(w2, cols.reshape(n, k, rb * out_w))
             y[:, :, r0:r0 + rb, :] = res.reshape(n, c_out, rb, out_w)
     if bias is not None:
@@ -298,7 +339,8 @@ def _conv2d_infer_blocked(x: np.ndarray, weight: np.ndarray,
 
 def conv2d_infer(x: np.ndarray, weight: np.ndarray,
                  bias: np.ndarray | None, stride: int = 1,
-                 padding: int = 0, dilation: int = 1) -> np.ndarray:
+                 padding: int = 0, dilation: int = 1,
+                 index: np.ndarray | None = None) -> np.ndarray:
     """Inference-only 2-D convolution.
 
     Same result contract as :func:`conv2d_forward` but returns only the
@@ -306,17 +348,34 @@ def conv2d_infer(x: np.ndarray, weight: np.ndarray,
     backward), the blocked im2col reuses pooled scratch buffers, and a
     batch that is a stride-0 broadcast of one sample (the batched MC
     engine tiling an image) is computed once and re-broadcast.
+
+    ``index`` selects the input channel by channel: ``x`` is then a
+    stack of ``S`` candidate planes ``(S, C, H, W)`` and ``index`` an
+    ``(N, C)`` array of plane numbers in ``[0, S)``, and the result
+    equals ``conv2d_infer(x[index, arange(C)])`` bit for bit.  When
+    ``N`` is larger than ``S`` this packs each plane's columns once
+    instead of once per sample (the MC suffix after a channel dropout;
+    see :meth:`repro.segmentation.msdnet.MSDNet.forward_suffix`).
     """
     c_in = weight.shape[1]
     if x.shape[1] != c_in:
         raise ValueError(
             f"input has {x.shape[1]} channels, weight expects {c_in}")
-    if x.shape[0] > 1 and x.strides[0] == 0:
+    if index is not None:
+        index = np.asarray(index, dtype=np.intp)
+        if index.ndim != 2 or index.shape[1] != c_in:
+            raise ValueError(
+                f"index must have shape (N, {c_in}), got {index.shape}")
+        if index.size and (index.min() < 0
+                           or index.max() >= x.shape[0]):
+            raise ValueError(
+                f"index values must lie in [0, {x.shape[0]})")
+    elif x.shape[0] > 1 and x.strides[0] == 0:
         # Every batch element is the same sample: compute one, broadcast.
         y1 = conv2d_infer(x[:1], weight, bias, stride, padding, dilation)
         return np.broadcast_to(y1, (x.shape[0],) + y1.shape[1:])
     return _conv2d_infer_blocked(x, weight, bias, stride, padding,
-                                 dilation)
+                                 dilation, index)
 
 
 # ----------------------------------------------------------------------

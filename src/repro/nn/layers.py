@@ -86,6 +86,18 @@ class Conv2d(Module):
                 self.dilation)
         return y
 
+    def forward_indexed(self, planes: np.ndarray,
+                        index: np.ndarray) -> np.ndarray:
+        """Inference forward of ``planes[index, arange(C)]``.
+
+        Bit-identical to ``forward`` on the materialised input, without
+        packing each sample's columns (see :func:`F.conv2d_infer`).
+        """
+        bias = self.bias.data if self.bias is not None else None
+        self._cache = None
+        return F.conv2d_infer(planes, self.weight.data, bias, self.stride,
+                              self.padding, self.dilation, index=index)
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(
@@ -257,12 +269,19 @@ class Dropout(Module):
         intermediate and per-forward astype copy.  One ``rng.random``
         call per mask keeps the batch contract (see class docstring).
         """
-        keep = 1.0 - self.p
-        scale = np.asarray(1.0 / keep, dtype=dtype
-                           if np.issubdtype(dtype, np.floating)
-                           else np.float32)
-        return (self.rng.random(shape) < keep).astype(
+        scale = self._mask_scale(dtype)
+        return (self.rng.random(shape) < 1.0 - self.p).astype(
             scale.dtype) * scale
+
+    def _mask_scale(self, dtype) -> np.ndarray:
+        """The kept-unit mask value ``1/keep`` as a 0-d array.
+
+        Computed in float64 and rounded once to ``dtype`` (float32 for
+        non-floating dtypes); every mask value is ``0`` or exactly this.
+        """
+        return np.asarray(1.0 / (1.0 - self.p), dtype=dtype
+                          if np.issubdtype(dtype, np.floating)
+                          else np.float32)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self._active():

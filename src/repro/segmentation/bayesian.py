@@ -29,6 +29,22 @@ speedup).
 the result because masks are consumed in sample order and the running
 moments are accumulated one sample at a time.
 
+With a prefix/suffix split each chunk runs ``suffix(base, owners)``:
+``base`` holds one row of prefix activations per image and ``owners``
+names each tile's image, so the suffix can share per-image work across
+a chunk's samples.  MSDnet's suffix does: block 0's channel dropout
+leaves every channel of a sample's block-1 input one of two per-image
+planes, so block 1's im2col columns are packed once per image and
+plane and gathered per sample
+(:meth:`repro.segmentation.msdnet.MSDNet.forward_suffix`), bit for bit
+the tiled forward.
+
+Moments have one accumulator, :class:`_RunningMoments` (float64 sum and
+sum of squares, one sample at a time).  Every MC entry point uses it,
+and so do the episode engine's joint, shared and serve passes, which
+call :meth:`BayesianSegmenter.predict_distribution_stack`; their moments
+are therefore bit-identical to that pass on the same seeded stack.
+
 The public batched surface is:
 
 * :meth:`BayesianSegmenter.predict_distribution` — one image, ``T``
@@ -40,7 +56,7 @@ The public batched surface is:
   seeded mega-batch (fastest, still seeded-reproducible, but a
   different — documented — RNG stream).
 * :meth:`BayesianSegmenter.predict_distribution_stack` — the raw engine
-  over an ``(N, C, H, W)`` stack.
+  over an ``(N, C, H, W)`` stack, optionally on precomputed stems.
 * :meth:`BayesianSegmenter.predict_distribution_ragged` — one jointly
   seeded pass over *different-shaped* crops (the shared-context
   monitor's union windows; same-shape runs are batched).
@@ -358,20 +374,24 @@ class BayesianSegmenter:
              for lo in range(0, stack.shape[0], b_max)], axis=0)
 
     def _suffix_forward(self):
-        """The stochastic-remainder callable matching ``compute_prefix``."""
-        _, suffix = self._split_fns()
-        return suffix if suffix is not None else self.model.forward
+        """The stochastic remainder matching ``compute_prefix``, or
+        ``None`` when the model offers no prefix/suffix split."""
+        return self._split_fns()[1]
 
-    def _mc_tiles(self, base: np.ndarray, forward, num_samples: int,
+    def _mc_tiles(self, base: np.ndarray, suffix, num_samples: int,
                   max_batch: int):
         """Yield ``(owners, scores)`` chunks of one seeded tile stream.
 
         Assumes MC dropout is already active; pushes the ``N * T``
-        tiles (image-major, sample-minor) through ``forward`` in
+        tiles (image-major, sample-minor) through the model in
         ``max_batch`` chunks.  ``owners[k]`` is the image index of
-        ``scores[k]``.  Because every dropout layer draws an
-        independent mask per batch element, the per-tile mask stream is
-        identical whatever the chunk boundaries.
+        ``scores[k]``.  With a split ``suffix``, ``base`` holds one
+        row of prefix activations per image and each chunk runs
+        ``suffix(base, owners)``, which shares per-image work across
+        the chunk's samples; without one, ``base`` holds the raw images
+        and the tiles go through ``model.forward``.  Because every
+        dropout layer draws an independent mask per batch element, the
+        per-tile mask stream is identical whatever the chunk boundaries.
         """
         n = base.shape[0]
         total = n * num_samples
@@ -380,22 +400,25 @@ class BayesianSegmenter:
             b = min(max_batch, total - done)
             owners = np.arange(done, done + b, dtype=np.intp) \
                 // num_samples
-            if n == 1:
+            if suffix is not None:
+                logits = suffix(base, owners)
+            elif n == 1:
                 # Tiling one image: a stride-0 broadcast view avoids
                 # materialising the batch.
-                batch = np.broadcast_to(base, (b,) + base.shape[1:])
+                logits = self.model.forward(
+                    np.broadcast_to(base, (b,) + base.shape[1:]))
             else:
-                batch = base[owners]
-            yield owners, softmax(forward(batch), axis=1)
+                logits = self.model.forward(base[owners])
+            yield owners, softmax(logits, axis=1)
             done += b
 
     def _mc_chunks(self, stack: np.ndarray, num_samples: int,
-                   max_batch: int, base: np.ndarray | None = None):
+                   max_batch: int, bases: np.ndarray | None = None):
         """Yield ``(owners, scores)`` chunks of the batched MC pass.
 
         The single engine loop shared by every MC entry point: computes
         the model's deterministic prefix once per image (or reuses a
-        caller-provided ``base`` of prefix activations — the episode
+        caller-provided ``bases`` of prefix activations — the episode
         engine's temporal stem reuse), seeds MC dropout once, then
         pushes the ``N * T`` tiles through the stochastic remainder in
         ``max_batch`` chunks.  MC dropout is switched off again when
@@ -403,21 +426,15 @@ class BayesianSegmenter:
         gen.close()``).
         """
         self._ensure_eval()
-        if base is not None:
-            forward = self._suffix_forward()
-        else:
-            prefix, suffix = self._split_fns()
-            if prefix is not None:
-                # Deterministic prefix: once per image, not per sample.
-                base = self.compute_prefix(stack, max_batch)
-                forward = suffix
-            else:
-                base = stack
-                forward = self.model.forward
+        if bases is None:
+            # Deterministic prefix: once per image, not per sample (the
+            # raw images for a model without the split).
+            prefix = self.compute_prefix(stack, max_batch)
+            bases = stack if prefix is None else prefix
         self._set_mc(True, rng=self.rng)
         try:
-            yield from self._mc_tiles(base, forward, num_samples,
-                                      max_batch)
+            yield from self._mc_tiles(bases, self._suffix_forward(),
+                                      num_samples, max_batch)
         finally:
             self._set_mc(False)
 
@@ -468,7 +485,8 @@ class BayesianSegmenter:
 
     def predict_distribution_stack(self, stack: np.ndarray,
                                    num_samples: int | None = None,
-                                   max_batch: int | None = None
+                                   max_batch: int | None = None,
+                                   bases: np.ndarray | None = None
                                    ) -> list[PixelDistribution]:
         """The batched engine: MC statistics for an ``(N, C, H, W)`` stack.
 
@@ -478,6 +496,11 @@ class BayesianSegmenter:
         sample order.  For ``N == 1`` this is exactly the sequential RNG
         stream; for ``N > 1`` the stream is jointly seeded (documented
         in :meth:`predict_distribution_batch`).
+
+        ``bases`` optionally supplies the images' precomputed
+        deterministic-stem activations (:meth:`compute_prefix`), exactly
+        like :meth:`predict_distribution_adaptive`; stems are
+        deterministic, so the moments are those of a recomputed stem.
         """
         stack = np.asarray(stack, dtype=np.float32)
         if stack.ndim != 4:
@@ -488,9 +511,14 @@ class BayesianSegmenter:
             return []
         t = self._resolve_samples(num_samples)
         b_max = self._resolve_max_batch(max_batch)
+        if bases is not None:
+            bases = np.asarray(bases, dtype=np.float32)
+            if bases.shape[0] != n:
+                raise ValueError(
+                    f"bases has {bases.shape[0]} entries for {n} images")
 
         moments = [_RunningMoments() for _ in range(n)]
-        chunks = self._mc_chunks(stack, t, b_max)
+        chunks = self._mc_chunks(stack, t, b_max, bases=bases)
         try:
             for owners, scores in chunks:
                 for k in range(len(owners)):
@@ -543,13 +571,13 @@ class BayesianSegmenter:
             base = self.compute_prefix(stack, b_max)
             prepared.append(
                 (start, stack if base is None else base))
-        forward = self._suffix_forward()
+        suffix = self._suffix_forward()
 
         moments = [_RunningMoments() for _ in crops]
         self._set_mc(True, rng=self.rng)
         try:
             for start, base in prepared:
-                for owners, scores in self._mc_tiles(base, forward, t,
+                for owners, scores in self._mc_tiles(base, suffix, t,
                                                      b_max):
                     for k in range(len(owners)):
                         moments[start + int(owners[k])].update(scores[k])
@@ -600,32 +628,28 @@ class BayesianSegmenter:
         k_round = int(check_every)
         self._ensure_eval()
 
+        suffix = self._suffix_forward()
         if bases is not None:
             if len(bases) != len(crops):
                 raise ValueError(
                     f"bases has {len(bases)} entries for {len(crops)} "
                     "crops")
             tiles = [np.asarray(b, dtype=np.float32) for b in bases]
-            forward = self._suffix_forward()
+        elif suffix is not None:
+            # Deterministic prefixes (dropout off) per consecutive
+            # same-shape run, exactly like the ragged path.
+            tiles: list[np.ndarray] = [crops[0]] * len(crops)
+            start = 0
+            for i in range(1, len(crops) + 1):
+                if i == len(crops) \
+                        or crops[i].shape != crops[start].shape:
+                    base = self.compute_prefix(
+                        np.stack(crops[start:i]), b_max)
+                    for j in range(start, i):
+                        tiles[j] = base[j - start]
+                    start = i
         else:
-            prefix, suffix = self._split_fns()
-            if prefix is not None:
-                # Deterministic prefixes (dropout off) per consecutive
-                # same-shape run, exactly like the ragged path.
-                tiles: list[np.ndarray] = [crops[0]] * len(crops)
-                start = 0
-                for i in range(1, len(crops) + 1):
-                    if i == len(crops) \
-                            or crops[i].shape != crops[start].shape:
-                        base = self.compute_prefix(
-                            np.stack(crops[start:i]), b_max)
-                        for j in range(start, i):
-                            tiles[j] = base[j - start]
-                        start = i
-                forward = suffix
-            else:
-                tiles = crops
-                forward = self.model.forward
+            tiles = crops
 
         moments = [_RunningMoments() for _ in crops]
         used = [0] * len(crops)
@@ -646,7 +670,7 @@ class BayesianSegmenter:
                     run = active[start:stop]
                     base = np.stack([tiles[j] for j in run])
                     for owners, scores in self._mc_tiles(
-                            base, forward, k, b_max):
+                            base, suffix, k, b_max):
                         for m in range(len(owners)):
                             moments[run[int(owners[m])]].update(
                                 scores[m])

@@ -119,9 +119,16 @@ class LightSegNet(nn.Module):
             y = layer(y)
         return y
 
-    def forward_suffix(self, z: np.ndarray) -> np.ndarray:
-        """Dropout, classification head and upsampling — the remainder."""
-        y = z
+    def forward_suffix(self, z: np.ndarray,
+                       owners: np.ndarray | None = None) -> np.ndarray:
+        """Dropout, classification head and upsampling — the remainder.
+
+        ``owners`` (one crop index per output row) gives the same
+        contract as :meth:`repro.segmentation.msdnet.MSDNet
+        .forward_suffix`; the first conv after this model's dropout is
+        a 1x1 head with no columns to share, so it only indexes.
+        """
+        y = z if owners is None else z[owners]
         for layer in self.body.layers[self._prefix_len:]:
             y = layer(y)
         return y

@@ -90,14 +90,23 @@ class MSDBlock(nn.Module):
         return self.forward_from_pre_dropout(
             self.forward_pre_dropout(x), x)
 
-    def forward_pre_dropout(self, x: np.ndarray) -> np.ndarray:
+    def forward_pre_dropout(self, x: np.ndarray,
+                            index: np.ndarray | None = None) -> np.ndarray:
         """Branches, concat, norm and activation — all deterministic.
 
         Everything before the block's dropout; under MC inference this
         part is identical for every sample of the same input, which the
         batched engine exploits (see :meth:`MSDNet.forward_prefix`).
+        With ``index`` (inference only) ``x`` is a stack of candidate
+        planes and the block input is ``x[index, arange(C)]``; the
+        branch convs gather their columns from the planes
+        (:meth:`repro.nn.Conv2d.forward_indexed`).
         """
-        outs = [branch(x) for branch in self.branches]
+        if index is None:
+            outs = [branch(x) for branch in self.branches]
+        else:
+            outs = [branch.forward_indexed(x, index)
+                    for branch in self.branches]
         merged = np.concatenate(outs, axis=1)
         return self.act(self.norm(merged))
 
@@ -196,18 +205,62 @@ class MSDNet(nn.Module):
         activated = self.blocks[0].forward_pre_dropout(y)
         return np.concatenate([activated, y], axis=1)
 
-    def forward_suffix(self, z: np.ndarray) -> np.ndarray:
-        """Dropout of block 1 onward — the (stochastic) remainder."""
-        if self.blocks:
-            ch = self.config.base_channels
-            activated, y = z[:, :ch], z[:, ch:]
-            y = self.blocks[0].forward_from_pre_dropout(activated, y)
-            for block in self.blocks[1:]:
-                y = block(y)
+    def forward_suffix(self, z: np.ndarray,
+                       owners: np.ndarray | None = None) -> np.ndarray:
+        """Dropout of block 1 onward — the (stochastic) remainder.
+
+        With ``owners``, ``z`` holds one row per crop and the result
+        equals ``forward_suffix(z[owners])`` bit for bit, drawing the
+        same dropout masks.  Block 0's channel dropout multiplies each
+        (sample, channel) by 0 or ``1/keep``, so channel ``c`` of every
+        sample's block-1 input is one of two per-crop planes,
+        ``a_c * 0 + y_c`` or ``a_c * (1/keep) + y_c``.  Those planes
+        are built once per crop of the chunk and block 1's branch convs
+        gather each sample's im2col columns from them instead of
+        packing every sample.  Falls back to ``z[owners]`` in training
+        mode, when dropout is inactive, when there is no second block,
+        or when the chunk has no more tiles than planes.
+        """
+        y = None if owners is None else self._gathered_blocks(
+            z, np.asarray(owners, dtype=np.intp))
+        if y is not None:
+            later = self.blocks[2:]
         else:
-            y = z
+            if owners is not None:
+                z = z[owners]
+            y, later = z, self.blocks[1:]
+            if self.blocks:
+                ch = self.config.base_channels
+                y = self.blocks[0].forward_from_pre_dropout(z[:, :ch],
+                                                            z[:, ch:])
+        for block in later:
+            y = block(y)
         y = self.head(y)
         return self.upsample(y)
+
+    def _gathered_blocks(self, z: np.ndarray,
+                         owners: np.ndarray) -> np.ndarray | None:
+        """Blocks 0-1 of ``forward_suffix(z[owners])`` built from
+        per-crop planes, or ``None`` where that would save nothing."""
+        crops, inverse = np.unique(owners, return_inverse=True)
+        if (len(self.blocks) < 2 or self.training
+                or not self.blocks[0].drop._active()
+                or len(owners) <= 2 * len(crops)):
+            return None
+        ch = self.config.base_channels
+        drop = self.blocks[0].drop
+        mask = drop._draw_mask((len(owners), ch, 1, 1), z.dtype)
+        # Plane 2j + v is crop j with every channel's mask value set to
+        # v * (1/keep), the dropout layer's own values and arithmetic.
+        values = np.arange(2, dtype=z.dtype) * drop._mask_scale(z.dtype)
+        activated, y = z[crops, :ch], z[crops, ch:]
+        planes = (activated[:, None] * values[:, None, None, None]
+                  + y[:, None]).reshape((-1,) + activated.shape[1:])
+        index = 2 * inverse[:, None] + (mask[:, :, 0, 0] != 0)
+        y = planes[index, np.arange(ch, dtype=np.intp)]
+        block = self.blocks[1]
+        return block.forward_from_pre_dropout(
+            block.forward_pre_dropout(planes, index), y)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad = self.upsample.backward(grad)

@@ -15,7 +15,11 @@ batched forwards instead of contention.
 bounded (``ServeConfig.queue_depth``); a request that arrives while
 the queue is full is shed immediately with :class:`AdmissionRejected`
 (``reason="queue_full"``), and a request after shutdown began gets
-``reason="shutdown"``.  A safety check is never silently dropped or
+``reason="shutdown"``.  A zone check whose image is not a CHW float
+image, or whose box is empty or leaves the frame, is shed before
+admission with ``reason="invalid"``, so it never joins a wave and
+cannot fail the requests batched with it.  A safety check is never
+silently dropped or
 partially answered: every admitted request's future resolves with a
 verdict, an episode result, or the wave's exception, and
 :meth:`ServeBroker.stop` drains all in-flight checks before returning.
@@ -63,13 +67,18 @@ from repro.core.engine import (
     EpisodeRequest,
     EpisodeScheduler,
 )
+from repro.core.monitor import check_zone_box
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.faults import (
     CheckTimedOut,
     WorkerPoolError,
     conservative_reject,
 )
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import (
+    check_image_chw,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = [
     "AdmissionRejected",
@@ -106,14 +115,17 @@ class AdmissionRejected(RuntimeError):
     Raised synchronously at submission time, never after a request was
     admitted, so a client always knows whether its safety check is in
     flight.  ``reason`` is ``"queue_full"`` (admission queue at
-    ``queue_depth``) or ``"shutdown"`` (broker stopping/stopped);
-    ``queue_depth`` echoes the configured bound.
+    ``queue_depth``), ``"shutdown"`` (broker stopping/stopped) or
+    ``"invalid"`` (a malformed image, or a zone box that is empty or
+    leaves the frame; ``detail`` says which); ``queue_depth`` echoes
+    the configured bound.
     """
 
-    def __init__(self, reason: str, queue_depth: int):
+    def __init__(self, reason: str, queue_depth: int, detail: str = ""):
+        advice = detail or "resubmit or back off"
         super().__init__(
             f"request rejected at admission ({reason}, "
-            f"queue_depth={queue_depth}) — resubmit or back off")
+            f"queue_depth={queue_depth}) — {advice}")
         self.reason = reason
         self.queue_depth = queue_depth
 
@@ -270,6 +282,7 @@ class ServeBroker:
             "admitted": 0,
             "rejected_queue_full": 0,
             "rejected_shutdown": 0,
+            "rejected_invalid": 0,
             "waves": 0,
             "max_wave": 0,
             "zone_checks": 0,
@@ -352,8 +365,16 @@ class ServeBroker:
         """One zone safety check; resolves to a ``ZoneVerdict``.
 
         Raises :class:`AdmissionRejected` (typed, immediate) when the
-        admission queue is full or the broker is shutting down.
+        admission queue is full, the broker is shutting down, or the
+        request is invalid (the monitor's own image and box checks).
         """
+        try:
+            check_image_chw("image", image)
+            check_zone_box(image, box)
+        except ValueError as exc:
+            self.stats["rejected_invalid"] += 1
+            raise AdmissionRejected("invalid", self.serve.queue_depth,
+                                    detail=str(exc)) from None
         return await self._admit("zone", (image, box))
 
     async def check_zones(self, image, boxes) -> list:

@@ -6,8 +6,9 @@ start method, CPU count), exercises the shared-memory frame transport
 end to end (ring slot *and* dedicated-overflow round-trips), compares
 the **requested vs effective** worker count — the degraded-to-inline
 case the engine only warns about once — and, given a system, live-fires
-a broker: a zone check, an episode step, and an overload burst that
-must produce *typed* rejections with every request accounted for.
+a broker: a zone check, an episode step, an out-of-frame box that
+must be shed as ``"invalid"`` before admission, and an overload burst
+that must produce *typed* rejections with every request accounted for.
 With fork available it then runs a **fault drill**: a chaos plan
 SIGKILLs a live worker mid-wave and the drill asserts respawn,
 ring-ledger balance, bit-for-bit recovery, and a degraded-mode round
@@ -89,9 +90,20 @@ async def _probe_broker(system, serve: ServeConfig, rng) -> dict:
         episode = await broker.run_episode([frame], seed=0,
                                            name="doctor")
         probe["episode_step_ok"] = len(episode.results) == 1
+        # A box that leaves the frame is shed before admission, so it
+        # never joins (or fails) a wave.
+        try:
+            await broker.check_zone(frame, Box(-4, -4, height // 3,
+                                               width // 3))
+        except AdmissionRejected as exc:
+            probe["invalid_reason"] = exc.reason
+        else:
+            probe["invalid_reason"] = None
+    stats = broker.stats
     probe["drained_on_stop"] = (
-        broker.stats["zone_checks"] + broker.stats["episode_steps"]
-        == broker.stats["admitted"])
+        stats["zone_checks"] + stats["episode_steps"] == stats["admitted"])
+    probe["invalid_shed_ok"] = (probe["invalid_reason"] == "invalid"
+                                and stats["rejected_invalid"] == 1)
 
     # Overload burst against a tiny queue: backpressure must shed with
     # typed rejections and every request must be accounted for.
@@ -255,6 +267,10 @@ def run_doctor(system=None, serve: ServeConfig | None = None,
                   f"effective workers {probe['effective_workers']}")
             check("graceful-drain", probe["drained_on_stop"],
                   "stop() resolved every admitted check")
+            check("typed-invalid-shedding", probe["invalid_shed_ok"],
+                  "out-of-frame box shed at admission with reason "
+                  f"{probe['invalid_reason']!r} and counted in "
+                  "rejected_invalid")
             check("typed-backpressure", probe["overload_typed_ok"],
                   f"burst of 8 vs queue_depth=1: {probe['overload_served']} "
                   f"served + {probe['overload_rejected']} typed rejections "

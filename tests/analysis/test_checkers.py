@@ -14,6 +14,7 @@ from repro.analysis.checkers.engine_mode import EngineModeChecker
 from repro.analysis.checkers.fork_purity import ForkPurityChecker
 from repro.analysis.checkers.fp32 import Fp32FirewallChecker
 from repro.analysis.checkers.knobs import KnobSurfaceChecker
+from repro.analysis.checkers.monitor_rule import MonitorRuleChecker
 from repro.analysis.checkers.rng import RngDisciplineChecker
 
 
@@ -407,3 +408,50 @@ class TestKnobSurface:
                           "src/repro/core/engine.py", tmp_path,
                           KnobSurfaceChecker())
         assert not other_class.active
+
+
+class TestMonitorFailClosed:
+    """``MON-FAIL-OPEN``: Eq. (2) tests that count NaN as safe flag in
+    the rule's two homes; the fail-closed twins are silent."""
+
+    HOMES = ("src/repro/core/monitor.py",
+             "src/repro/eval/monitor_metrics.py")
+
+    @pytest.mark.parametrize("rel_path", HOMES)
+    def test_fail_open_forms_flag(self, tmp_path, rel_path):
+        result = run(
+            """
+            def rule(upper, cfg, tau, fraction):
+                a = upper > cfg.tau
+                b = upper >= tau
+                c = cfg.tau < upper
+                d = tau <= upper
+                e = fraction > cfg.max_unsafe_fraction
+                return a, b, c, d, e
+            """,
+            rel_path, tmp_path, MonitorRuleChecker())
+        assert rules_of(result) == {"MON-FAIL-OPEN"}
+        assert sorted(f.line for f in result.active) == [3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("rel_path", HOMES)
+    def test_fail_closed_twin_silent(self, tmp_path, rel_path):
+        result = run(
+            """
+            def rule(upper, cfg, tau, fraction, limit):
+                a = ~(upper <= cfg.tau)
+                b = ~(tau >= upper)
+                accepted = fraction <= cfg.max_unsafe_fraction
+                unrelated = fraction > limit
+                return a, b, accepted, unrelated
+            """,
+            rel_path, tmp_path, MonitorRuleChecker())
+        assert result.active == []
+
+    def test_outside_homes_silent(self, tmp_path):
+        result = run(
+            """
+            def f(upper, cfg):
+                return upper > cfg.tau
+            """,
+            "src/repro/core/decision.py", tmp_path, MonitorRuleChecker())
+        assert result.active == []

@@ -145,5 +145,5 @@ class TestCli:
                      "FP32-ASTYPE-WIDEN", "ENG-ENV-READ",
                      "ENG-ENV-WRITE", "FP32-INT8-QUANT",
                      "FORK-GLOBAL-WRITE", "KNOB-DOCSTRING",
-                     "KNOB-README"):
+                     "KNOB-README", "MON-FAIL-OPEN"):
             assert rule in out

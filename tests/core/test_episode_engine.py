@@ -418,3 +418,123 @@ class TestSharedMode:
         pipeline.run(tiny_system.test_samples[0].image)
         assert calls, "speculative batches should hit check_zones"
         assert all(c.get("shared") is True for c in calls)
+
+
+@pytest.fixture()
+def stack_calls(monkeypatch):
+    """Records every ``predict_distribution_stack`` call: the
+    segmenter's generator state before it, its arguments, and the
+    distributions it returned."""
+    import copy
+
+    from repro.segmentation.bayesian import BayesianSegmenter
+
+    monkeypatch.delenv("REPRO_MONITOR_SHARED", raising=False)
+    monkeypatch.delenv("REPRO_MONITOR_ADAPTIVE", raising=False)
+    calls = []
+    original = BayesianSegmenter.predict_distribution_stack
+
+    def spy(self, stack, num_samples=None, max_batch=None, bases=None):
+        state = copy.deepcopy(self.rng.bit_generator.state)
+        out = original(self, stack, num_samples=num_samples,
+                       max_batch=max_batch, bases=bases)
+        calls.append(dict(state=state, stack=np.array(stack),
+                          bases=bases, num_samples=num_samples,
+                          max_batch=max_batch, out=out))
+        return out
+
+    monkeypatch.setattr(BayesianSegmenter, "predict_distribution_stack",
+                        spy)
+    return calls
+
+
+def _replay(model, call):
+    """The recorded pass re-run on a fresh segmenter in the same
+    generator state, computing its own stems."""
+    from repro.segmentation.bayesian import BayesianSegmenter
+
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = call["state"]
+    seg = BayesianSegmenter(model, rng=rng)
+    return seg.predict_distribution_stack(
+        call["stack"], num_samples=call["num_samples"],
+        max_batch=call["max_batch"])
+
+
+def _assert_moments_equal(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.num_samples == b.num_samples
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.std, b.std)
+
+
+class TestStackPassMoments:
+    """Joint, serve-wave and shared passes accumulate moments exactly
+    like ``predict_distribution_stack`` (one float64 running sum per
+    crop, in sample order), so their moments equal that pass's on the
+    same seeded stack bit for bit."""
+
+    def test_check_zones_wave_matches_stack_pass(self, tiny_system,
+                                                 monkeypatch):
+        from repro.core import RuntimeMonitor
+        from repro.segmentation.bayesian import BayesianSegmenter
+        from repro.utils.geometry import Box
+
+        monkeypatch.delenv("REPRO_MONITOR_ADAPTIVE", raising=False)
+        config = tiny_system.pipeline_config()
+        frame = tiny_system.test_samples[0].image
+        boxes = [Box(0, 0, 12, 12), Box(10, 20, 14, 10),
+                 Box(30, 40, 8, 16), Box(20, 5, 16, 16)]
+        scheduler = EpisodeScheduler(tiny_system.model, config, rng=11)
+        verdicts = scheduler.check_zones_wave(
+            [(frame, box) for box in boxes])
+
+        seg = BayesianSegmenter(tiny_system.model,
+                                num_samples=config.monitor.num_samples,
+                                rng=11, max_batch=32)
+        monitor = RuntimeMonitor(seg, config.monitor)
+        spans = [monitor._padded_spans(frame, box) for box in boxes]
+        target = (max(c.height for c, _ in spans),
+                  max(c.width for c, _ in spans))
+        crops = [monitor._padded_spans(frame, box, target)[0]
+                 .extract(frame) for box in boxes]
+        ref = seg.predict_distribution_stack(np.stack(crops))
+        _assert_moments_equal([v.distribution for v in verdicts], ref)
+
+    def test_joint_run_matches_stack_pass(self, tiny_system,
+                                          stack_calls):
+        dense = TestSharedMode()
+        engine = EngineConfig(monitor_batching="joint", speculative_k=3)
+        out = EpisodeScheduler(
+            tiny_system.model, dense._config(tiny_system), engine=engine,
+            rng=0).run(dense._dense_episodes())
+        calls = list(stack_calls)
+        assert calls
+        returned = {id(d) for call in calls for d in call["out"]}
+        verdicts = [v for ep in out for r in ep.results
+                    for v in r.verdicts]
+        assert verdicts
+        assert all(id(v.distribution) in returned for v in verdicts)
+        for call in calls:
+            _assert_moments_equal(call["out"],
+                                  _replay(tiny_system.model, call))
+
+    def test_shared_cached_stems_match_stack_pass(self, tiny_system,
+                                                  stack_calls):
+        """Windows whose stems come from the temporal cache get the
+        moments of a pass that recomputes them."""
+        frame = tiny_system.test_samples[0].image
+        episodes = [EpisodeRequest(frames=[frame] * 3, seed=1,
+                                   name="static", drift_px=(0, 0))]
+        scheduler = EpisodeScheduler(
+            tiny_system.model, TestSharedMode()._config(tiny_system),
+            engine=EngineConfig(monitor_batching="shared",
+                                speculative_k=3), rng=0)
+        scheduler.run(episodes)
+        assert scheduler.last_shared_stats["stem_hits"] > 0
+        calls = list(stack_calls)
+        assert any(call["bases"] is not None for call in calls)
+        for call in calls:
+            _assert_moments_equal(call["out"],
+                                  _replay(tiny_system.model, call))

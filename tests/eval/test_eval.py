@@ -101,6 +101,15 @@ class TestTauSweep:
         points = tau_sweep(self._distribution(), gt, taus=[0.0])
         assert points[0]["tpr"] == 1.0
 
+    def test_nan_pixel_is_flagged_like_the_runtime_monitor(self):
+        """A NaN statistic counts as flagged at every tau, as the
+        runtime rule ``~(upper <= tau)`` counts it as unsafe."""
+        dist = self._distribution()
+        dist.mean[:, 0, 0] = np.nan
+        gt = np.full((10, 10), GRASS)
+        points = tau_sweep(dist, gt, taus=[1.0])
+        assert points[0]["fpr"] == 1 / gt.size
+
 
 class TestZoneTrulyUnsafe:
     def test_detects_road_in_zone(self):

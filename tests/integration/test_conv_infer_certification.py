@@ -43,8 +43,12 @@ def _explicit_modes(monkeypatch):
     monkeypatch.delenv("REPRO_MONITOR_ADAPTIVE", raising=False)
 
 
-def _training_forward(x, weight, bias, stride=1, padding=0, dilation=1):
-    """``conv2d_forward`` with ``conv2d_infer``'s signature."""
+def _training_forward(x, weight, bias, stride=1, padding=0, dilation=1,
+                      index=None):
+    """``conv2d_forward`` with ``conv2d_infer``'s signature; an indexed
+    call runs on its materialised input ``x[index, arange(C)]``."""
+    if index is not None:
+        x = x[index, np.arange(x.shape[1])]
     return F.conv2d_forward(x, weight, bias, stride, padding, dilation)[0]
 
 

@@ -85,16 +85,40 @@ class TestBorderBoxes:
             verdict = monitor.check_zone(image, box)
             assert verdict.unsafe_mask.shape == (8, 8)
 
-    def test_monitor_box_larger_than_frame_is_clipped(self, tiny_system):
+    def test_monitor_box_leaving_frame_is_refused(self, tiny_system,
+                                                  monkeypatch):
+        """The monitor judges only pixels it sees, so a box that leaves
+        the frame is refused on every path instead of being judged on
+        its visible part (which could accept a mostly unseen zone)."""
+        from repro.core import EpisodeScheduler, PipelineConfig
+
+        monkeypatch.delenv("REPRO_MONITOR_SHARED", raising=False)
         segmenter = BayesianSegmenter(tiny_system.model, num_samples=2,
                                       rng=0)
-        monitor = RuntimeMonitor(segmenter, MonitorConfig(num_samples=2))
         image = tiny_system.test_samples[0].image
         h, w = image.shape[1:]
-        big = Box(-10, -10, h + 20, w + 20)
-        verdict = monitor.check_zone(image, big)
-        assert verdict.unsafe_mask.shape[0] <= h
-        assert verdict.unsafe_mask.shape[1] <= w
+        inside = Box(0, 0, 8, 8)
+        outside = (Box(-10, -10, h + 20, w + 20), Box(-6, -6, 12, 12),
+                   Box(h - 6, w - 8, 12, 12), Box(0, w, 4, 4))
+        for adaptive in (False, True):
+            cfg = MonitorConfig(num_samples=2, adaptive=adaptive)
+            monitor = RuntimeMonitor(segmenter, cfg)
+            scheduler = EpisodeScheduler(tiny_system.model,
+                                         PipelineConfig(monitor=cfg))
+            for box in outside:
+                with pytest.raises(ValueError, match="not inside"):
+                    monitor.check_zone(image, box)
+                for joint, shared in ((False, False), (True, False),
+                                      (True, True)):
+                    with pytest.raises(ValueError, match="not inside"):
+                        monitor.check_zones(image, [inside, box],
+                                            joint=joint, shared=shared)
+                with pytest.raises(ValueError, match="not inside"):
+                    scheduler.check_zones_wave([(image, inside),
+                                                (image, box)])
+        # A box flush with the frame edges is inside.
+        assert monitor.check_zone(image, Box(0, 0, h, w)) \
+            .unsafe_mask.shape == (h, w)
 
 
 class TestHazardEdgeCases:

@@ -358,3 +358,106 @@ class TestLayerCompositions:
         scale = float(np.abs(ref).max())
         assert float(np.abs(infer - ref).max()) <= \
             16 * MAXNORM_REL * scale
+
+
+# ----------------------------------------------------------------------
+# Indexed input: candidate planes gathered channel by channel
+# ----------------------------------------------------------------------
+def _indexed_case(x, seed, planes=3, samples=7):
+    """Candidate planes built from ``x`` plus an ``(N, C)`` index."""
+    rng = np.random.default_rng(4000 + seed)
+    c = x.shape[1]
+    stack = np.concatenate(
+        [x, x[:1] * np.float32(-0.5), x[-1:] + np.float32(1.0)])[:planes]
+    index = rng.integers(0, stack.shape[0], size=(samples, c))
+    return stack, index
+
+
+def _materialised(planes, index):
+    return planes[index, np.arange(planes.shape[1])]
+
+
+class TestIndexedInput:
+    """``conv2d_infer(planes, index=index)`` equals ``conv2d_infer`` on
+    the materialised input ``planes[index, arange(C)]`` bit for bit, in
+    both blocking regimes."""
+
+    @pytest.mark.parametrize("seed", SWEEP)
+    def test_sweep_bit_identical(self, seed):
+        x, wt, b, s, p, d = _random_case(seed)
+        planes, index = _indexed_case(x, seed)
+        out = F.conv2d_infer(planes, wt, b, s, p, d, index=index)
+        ref = F.conv2d_infer(_materialised(planes, index), wt, b, s, p, d)
+        assert out.dtype == ref.dtype
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("size", [1, 3, 4])
+    def test_dilation_beyond_map_reads_only_padding(self, size):
+        """Every off-centre tap of a dilation >= the map lands in the
+        zero padding."""
+        rng = np.random.default_rng(size)
+        planes = rng.normal(size=(4, 5, size, size)).astype(np.float32)
+        index = rng.integers(0, 4, size=(9, 5))
+        wt = rng.normal(size=(3, 5, 3, 3)).astype(np.float32)
+        b = rng.normal(size=3).astype(np.float32)
+        for dilation in (size, 2 * size + 1, 8):
+            out = F.conv2d_infer(planes, wt, b, 1, dilation, dilation,
+                                 index=index)
+            ref = F.conv2d_infer(_materialised(planes, index), wt, b, 1,
+                                 dilation, dilation)
+            assert np.array_equal(out, ref)
+
+    def test_non_finite_planes(self):
+        rng = np.random.default_rng(31)
+        planes = rng.normal(size=(4, 6, 8, 8)).astype(np.float32)
+        planes[0, 1, 2, 3] = np.nan
+        planes[1, 2] = np.inf
+        planes[2, 0, 0, :] = -np.inf
+        planes[3] = np.nan
+        index = rng.integers(0, 4, size=(10, 6))
+        wt = rng.normal(size=(4, 6, 3, 3)).astype(np.float32)
+        for dilation in (1, 2):
+            with np.errstate(invalid="ignore"):  # inf * 0 in the GEMM
+                out = F.conv2d_infer(planes, wt, None, 1, dilation,
+                                     dilation, index=index)
+                ref = F.conv2d_infer(_materialised(planes, index), wt,
+                                     None, 1, dilation, dilation)
+            assert np.array_equal(out, ref, equal_nan=True)
+            assert np.isnan(out).any()
+
+    def test_multi_block_geometry(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        planes = rng.normal(size=(3, 8, 20, 24)).astype(np.float32)
+        index = rng.integers(0, 3, size=(5, 8))
+        wt = rng.normal(size=(6, 8, 3, 3)).astype(np.float32)
+        # Two output rows per block.
+        monkeypatch.setattr(F, "_BLOCK_KIB", 2.5 * 8 * 9 * 24 * 4 / 1024)
+        assert not _single_block(planes, wt, 1, 1, 1)
+        out = F.conv2d_infer(planes, wt, None, 1, 1, 1, index=index)
+        ref = F.conv2d_infer(_materialised(planes, index), wt, None, 1, 1, 1)
+        assert np.array_equal(out, ref)
+
+    def test_output_does_not_alias_scratch_buffers(self):
+        rng = np.random.default_rng(33)
+        planes = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
+        index = rng.integers(0, 2, size=(5, 4))
+        wt = rng.normal(size=(3, 4, 3, 3)).astype(np.float32)
+        first = F.conv2d_infer(planes, wt, None, padding=1, index=index)
+        kept = first.copy()
+        F.conv2d_infer(planes * np.float32(3.0), wt, None, padding=1,
+                       index=index)
+        assert np.array_equal(first, kept)
+        for buf in F._COL_BUFFERS.values():
+            assert not np.shares_memory(first, buf)
+
+    def test_bad_index_rejected(self):
+        planes = np.zeros((2, 4, 6, 6), dtype=np.float32)
+        wt = np.zeros((3, 4, 3, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="shape"):
+            F.conv2d_infer(planes, wt, None, index=np.zeros((5, 3), int))
+        with pytest.raises(ValueError, match="lie in"):
+            F.conv2d_infer(planes, wt, None,
+                           index=np.full((5, 4), 2, dtype=int))
+        with pytest.raises(ValueError, match="lie in"):
+            F.conv2d_infer(planes, wt, None,
+                           index=np.full((5, 4), -1, dtype=int))

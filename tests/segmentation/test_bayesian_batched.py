@@ -291,3 +291,135 @@ class TestComputePrefix:
         seg = BayesianSegmenter(model, rng=0, prefix_split=False)
         stack = np.zeros((1, 3, 16, 16), dtype=np.float32)
         assert seg.compute_prefix(stack) is None
+
+
+def _dropout_states(model):
+    from repro.nn.layers import collect_dropout_layers
+    return [d.rng.bit_generator.state
+            for d in collect_dropout_layers(model)]
+
+
+def _suffix_both(model, z, chunks, seed=5, mc=True):
+    """``forward_suffix`` over each owners chunk, gathered and then
+    materialised, each on one fresh seeded mask stream; returns the
+    outputs and the dropout generator states left behind."""
+    from repro.nn.layers import set_mc_dropout
+
+    runs = []
+    for gathered in (True, False):
+        set_mc_dropout(model, mc, rng=np.random.default_rng(seed))
+        outs = [model.forward_suffix(z, owners) if gathered
+                else model.forward_suffix(z[owners]) for owners in chunks]
+        runs.append((outs, _dropout_states(model)))
+    set_mc_dropout(model, False)
+    return runs
+
+
+@pytest.fixture()
+def gather_calls(monkeypatch):
+    """Counts block-1 branch convs that ran the gathered path."""
+    from repro import nn
+
+    calls = []
+    original = nn.Conv2d.forward_indexed
+
+    def spy(self, planes, index):
+        calls.append(index.shape[0])
+        return original(self, planes, index)
+
+    monkeypatch.setattr(nn.Conv2d, "forward_indexed", spy)
+    return calls
+
+
+class TestGatheredSuffix:
+    """``MSDNet.forward_suffix(z, owners)`` equals
+    ``forward_suffix(z[owners])`` bit for bit under one seeded mask
+    stream, and leaves the same generator state."""
+
+    CHUNKS = {
+        # Crop 1's samples straddle the two chunks.
+        "split_crop": [np.array([0, 0, 0, 0, 1, 1, 1]),
+                       np.array([1, 1, 1, 2, 2, 2, 2, 2])],
+        "single_crop": [np.zeros(6, dtype=np.intp),
+                        np.zeros(4, dtype=np.intp)],
+    }
+
+    def _prefix(self, model, crops=3, seed=4):
+        model.eval()
+        x = np.random.default_rng(seed).random((crops, 3, 16, 16))\
+            .astype(np.float32)
+        return model.forward_prefix(x)
+
+    @pytest.mark.parametrize("dropout", [0.5, 0.3])
+    @pytest.mark.parametrize("chunks", sorted(CHUNKS))
+    def test_bit_identical(self, dropout, chunks, gather_calls):
+        # p=0.3: the kept mask value 1/0.7 is not exact in float32.
+        model = MSDNet(MSDNetConfig(base_channels=16, num_blocks=3,
+                                    dropout=dropout), rng=1)
+        z = self._prefix(model)
+        (got, got_state), (ref, ref_state) = _suffix_both(
+            model, z, self.CHUNKS[chunks])
+        assert gather_calls, "the gathered path did not run"
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert got_state == ref_state
+
+    def test_non_finite_prefix_activations(self, model, gather_calls):
+        z = self._prefix(model)
+        z[0, 0, 1, 1] = np.nan        # pre-dropout activation
+        z[1, 3] = np.inf              # a whole activated channel
+        z[2, 20, 0, :] = -np.inf      # the residual half
+        chunks = self.CHUNKS["split_crop"]
+        with np.errstate(invalid="ignore"):
+            (got, _), (ref, _) = _suffix_both(model, z, chunks)
+        assert gather_calls
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(got, ref))
+        assert all(np.isnan(a).any() for a in got)
+
+    def test_inactive_dropout(self, model, gather_calls):
+        z = self._prefix(model)
+        (got, got_state), (ref, ref_state) = _suffix_both(
+            model, z, self.CHUNKS["split_crop"], mc=False)
+        assert not gather_calls
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert got_state == ref_state
+
+    def test_no_more_tiles_than_planes_falls_back(self, model,
+                                                  gather_calls):
+        z = self._prefix(model)
+        chunks = [np.array([0, 0, 1, 1]), np.array([2, 2])]
+        (got, got_state), (ref, ref_state) = _suffix_both(model, z,
+                                                          chunks)
+        assert not gather_calls
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert got_state == ref_state
+
+    def test_single_block_falls_back(self, gather_calls):
+        model = MSDNet(MSDNetConfig(base_channels=8, num_blocks=1), rng=2)
+        z = self._prefix(model)
+        (got, _), (ref, _) = _suffix_both(model, z,
+                                          self.CHUNKS["split_crop"])
+        assert not gather_calls
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_lightsegnet_owners_only_index(self, light_model):
+        z = self._prefix(light_model)
+        (got, got_state), (ref, ref_state) = _suffix_both(
+            light_model, z, self.CHUNKS["split_crop"])
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert got_state == ref_state
+
+    def test_stack_pass_with_precomputed_bases(self, model):
+        """``predict_distribution_stack(bases=...)`` equals the pass that
+        computes the stems itself (the shared engine's stem reuse)."""
+        stack = np.random.default_rng(6).random((3, 3, 16, 16))\
+            .astype(np.float32)
+        seg = BayesianSegmenter(model, num_samples=5, rng=9, max_batch=7)
+        bases = seg.compute_prefix(stack)
+        fresh = BayesianSegmenter(model, num_samples=5, rng=9,
+                                  max_batch=7).predict_distribution_stack(
+                                      stack)
+        reused = seg.predict_distribution_stack(stack, bases=bases)
+        assert all(_dist_equal(a, b) for a, b in zip(fresh, reused))
+        with pytest.raises(ValueError, match="bases"):
+            seg.predict_distribution_stack(stack, bases=bases[:2])

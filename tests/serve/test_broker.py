@@ -275,19 +275,59 @@ class TestBackpressure:
 
         asyncio.run(scenario())
 
-    def test_wave_error_resolves_every_future(self, tiny_system):
-        """A failing wave fails its members' futures — it never leaves
-        an admitted check unanswered."""
+    def test_invalid_requests_shed_before_admission(self, tiny_system):
+        """A malformed image or a box that leaves the frame is shed with
+        a typed ``"invalid"`` rejection and never joins a wave, so the
+        valid checks submitted alongside it are all served."""
+        frame = tiny_system.test_samples[0].image
+        height, width = frame.shape[-2:]
+        good = _boxes(frame, 3)
+        bad = [(frame, Box(-6, -6, 12, 12)),
+               (frame, Box(height - 6, width - 8, 12, 12)),
+               (frame, Box(2, 2, 0, 5)),
+               (np.zeros((7, 5, 5), dtype=np.float32), Box(0, 0, 4, 4))]
         config = tiny_system.pipeline_config()
-        bad_frame = np.zeros((7, 5, 5), dtype=np.float32)  # not CHW
 
         async def scenario():
             serve = ServeConfig(admission_window_ms=100.0)
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve) as broker:
                 outcomes = await asyncio.gather(
-                    *(broker.check_zone(bad_frame, Box(0, 0, 4, 4))
-                      for _ in range(3)),
+                    *(broker.check_zone(image, box)
+                      for image, box in [(frame, good[0])] + bad
+                      + [(frame, b) for b in good[1:]]),
+                    return_exceptions=True)
+            return outcomes, broker.stats
+
+        outcomes, stats = asyncio.run(scenario())
+        shed = outcomes[1:1 + len(bad)]
+        served = [outcomes[0]] + outcomes[1 + len(bad):]
+        assert all(isinstance(o, AdmissionRejected)
+                   and o.reason == "invalid" for o in shed)
+        assert all(hasattr(v, "accepted") for v in served)
+        assert stats["rejected_invalid"] == len(bad)
+        assert stats["admitted"] == stats["zone_checks"] == len(good)
+        assert stats["wave_errors"] == 0
+
+    def test_wave_error_resolves_every_future(self, tiny_system,
+                                              monkeypatch):
+        """A failing wave fails its members' futures — it never leaves
+        an admitted check unanswered."""
+        config = tiny_system.pipeline_config()
+        frame = tiny_system.test_samples[0].image
+
+        def broken_wave(items):
+            raise RuntimeError("wave failed")
+
+        async def scenario():
+            serve = ServeConfig(admission_window_ms=100.0)
+            async with ServeBroker(tiny_system.model, config=config,
+                                   serve=serve) as broker:
+                monkeypatch.setattr(broker.scheduler, "check_zones_wave",
+                                    broken_wave)
+                outcomes = await asyncio.gather(
+                    *(broker.check_zone(frame, box)
+                      for box in _boxes(frame, 3)),
                     return_exceptions=True)
             return outcomes, broker.stats
 
