@@ -29,16 +29,6 @@ Measured modes:
   joint pass.  The headline number is the *monitor-pass* speedup (the
   stage the engines differ in; core segmentation is identical and
   gated elsewhere), plus seeded-reproducibility as a hard contract.
-* **adaptive early exit** — the same dense fleet re-runs the joint and
-  shared engines with ``MonitorConfig.adaptive`` on: the sequential
-  stopping rule halts each window's MC pass once the certified bound
-  proves the remaining samples cannot flip any member verdict.  The
-  gated number is the joint monitor-pass speedup (adaptive vs full-T)
-  plus seeded reproducibility; per-mode samples-used records land in
-  the summary.  Cross-stream bit-equality with the full-T engines is
-  *not* asserted here — like the shared planner, adaptive sampling is
-  a stream-changing mode, and its zero-flip claims are certified on
-  the pinned workloads in ``tests/integration``.
 
 The fleet runs at the multi-stream scale (48x64 frames — many
 lightweight streams per server); full mode adds the native full-frame
@@ -245,30 +235,6 @@ def _measure_workers_scaling(model, config, episodes, seq: float):
             "speedup": round(seq / best, 3)}
 
 
-def _samples_record(stats: dict, budget: int) -> dict:
-    """Per-mode samples-used record for the summary (schema v2).
-
-    Full-T modes report the trivial record (every window consumes the
-    whole budget); adaptive modes report the scheduler's aggregated
-    ``last_adaptive_stats`` with the samples-used histogram keyed by
-    strings so the record is JSON-stable.
-    """
-    if not stats["windows"]:
-        return {"adaptive": False, "samples_per_window": budget}
-    return {
-        "adaptive": True,
-        "windows": stats["windows"],
-        "early_exits": stats["early_exits"],
-        "fallbacks": stats["fallbacks"],
-        "samples_used": stats["samples_used"],
-        "samples_budget": stats["samples_budget"],
-        "samples_saved_frac": round(
-            1.0 - stats["samples_used"] / stats["samples_budget"], 3),
-        "histogram": {str(k): v for k, v in
-                      sorted(stats["samples_histogram"].items())},
-    }
-
-
 def _measure_dense_shared(model, config, episodes):
     """Shared-context vs PR 3 joint pass on the overlap-heavy fleet.
 
@@ -278,55 +244,33 @@ def _measure_dense_shared(model, config, episodes):
     the stage the two engines implement differently; end-to-end wall
     time is recorded alongside.  Seeded reproducibility of the shared
     engine is asserted as a hard contract.
-
-    Two adaptive rows run the same fleet with the early-exit stopping
-    rule on (``MonitorConfig.adaptive``); the joint row is the gated
-    adaptive-vs-full-T comparison.  Every adaptive repeat must produce
-    the same decision fingerprints (seeded reproducibility).
     """
     import time
 
-    adaptive_config = replace(
-        config, monitor=replace(config.monitor, adaptive=True))
-    joint_engine = EngineConfig(monitor_batching="joint",
-                                speculative_k=DENSE_SPECULATIVE_K)
     shared_engine = EngineConfig(monitor_batching="shared",
                                  speculative_k=DENSE_SPECULATIVE_K)
     setups = {
-        "joint": (joint_engine, config),
-        "shared": (shared_engine, config),
-        "shared_no_reuse": (EngineConfig(
+        "joint": EngineConfig(monitor_batching="joint",
+                              speculative_k=DENSE_SPECULATIVE_K),
+        "shared": shared_engine,
+        "shared_no_reuse": EngineConfig(
             monitor_batching="shared",
             speculative_k=DENSE_SPECULATIVE_K, temporal_reuse=False),
-            config),
-        "joint_adaptive": (joint_engine, adaptive_config),
-        "shared_adaptive": (shared_engine, adaptive_config),
     }
     walls = {name: float("inf") for name in setups}
     passes = {name: float("inf") for name in setups}
-    samples: dict = {}
-    fingerprints: dict = {}
-    adaptive_reproducible = True
-    for name, (engine, cfg) in setups.items():  # warm-up
-        EpisodeScheduler(model, cfg, engine=engine, rng=0).run(
+    for engine in setups.values():  # warm-up
+        EpisodeScheduler(model, config, engine=engine, rng=0).run(
             episodes)
     for _ in range(REPEATS):
-        for name, (engine, cfg) in setups.items():
-            scheduler = EpisodeScheduler(model, cfg, engine=engine,
+        for name, engine in setups.items():
+            scheduler = EpisodeScheduler(model, config, engine=engine,
                                          rng=0)
             start = time.perf_counter()
             out = scheduler.run(episodes)
             walls[name] = min(walls[name],
                               time.perf_counter() - start)
             passes[name] = min(passes[name], _monitor_pass_s(out))
-            samples[name] = _samples_record(
-                scheduler.last_adaptive_stats, cfg.monitor.num_samples)
-            fps = [_decision_fingerprint(r)
-                   for ep in out for r in ep.results]
-            if name.endswith("_adaptive"):
-                if name in fingerprints and fingerprints[name] != fps:
-                    adaptive_reproducible = False
-            fingerprints[name] = fps
 
     scheduler = EpisodeScheduler(model, config, engine=shared_engine,
                                  rng=0)
@@ -338,8 +282,7 @@ def _measure_dense_shared(model, config, episodes):
         _decision_fingerprint(ra) == _decision_fingerprint(rb)
         for ea, eb in zip(out_a, out_b)
         for ra, rb in zip(ea.results, eb.results))
-    return (walls, passes, stats, reproducible, samples,
-            adaptive_reproducible)
+    return walls, passes, stats, reproducible
 
 
 def test_episode_engine_throughput(system, emit):
@@ -375,8 +318,7 @@ def test_episode_engine_throughput(system, emit):
     # Shared-context engine on the overlap-heavy fleet
     # ------------------------------------------------------------------
     episodes_d, config_d = _dense_fleet(system, STREAM_SHAPE)
-    (walls, passes, shared_stats, reproducible, samples,
-     adaptive_reproducible) = _measure_dense_shared(
+    walls, passes, shared_stats, reproducible = _measure_dense_shared(
         system.model, config_d, episodes_d)
     summary["dense"] = {
         "scenarios": list(DENSE_SCENARIOS),
@@ -385,37 +327,17 @@ def test_episode_engine_throughput(system, emit):
         "context_margin_px": config_d.monitor.context_margin_px,
         "t_joint_ms": round(walls["joint"] * 1e3, 3),
         "t_shared_ms": round(walls["shared"] * 1e3, 3),
-        "t_joint_adaptive_ms": round(
-            walls["joint_adaptive"] * 1e3, 3),
-        "t_shared_adaptive_ms": round(
-            walls["shared_adaptive"] * 1e3, 3),
         "pass_joint_ms": round(passes["joint"] * 1e3, 3),
         "pass_shared_ms": round(passes["shared"] * 1e3, 3),
         "pass_shared_no_reuse_ms": round(
             passes["shared_no_reuse"] * 1e3, 3),
-        "pass_joint_adaptive_ms": round(
-            passes["joint_adaptive"] * 1e3, 3),
-        "pass_shared_adaptive_ms": round(
-            passes["shared_adaptive"] * 1e3, 3),
         "shared_stats": shared_stats,
-        "samples": samples,
     }
     summary["speedup_shared_vs_joint_pass"] = round(
         passes["joint"] / passes["shared"], 3)
     summary["speedup_shared_vs_joint_wall"] = round(
         walls["joint"] / walls["shared"], 3)
     summary["shared_seeded_reproducible"] = bool(reproducible)
-    # The gated adaptive number: early-exit vs full-T on the joint
-    # monitor pass (the engines are otherwise identical, so the ratio
-    # isolates the stopping rule).  The shared ratio is recorded for
-    # the record — stem reuse already amortises most of the pass, so
-    # adaptive sampling buys little on top of it.
-    summary["speedup_adaptive_vs_full_t"] = round(
-        passes["joint"] / passes["joint_adaptive"], 3)
-    summary["speedup_adaptive_shared_pass"] = round(
-        passes["shared"] / passes["shared_adaptive"], 3)
-    summary["adaptive_seeded_reproducible"] = bool(
-        adaptive_reproducible)
 
     if not BENCH_SMOKE:
         # Native full-frame streams, for the record (the multi-stream
@@ -467,17 +389,6 @@ def test_episode_engine_throughput(system, emit):
          f"{st['union_windows']} windows ({st['merged_windows']} "
          f"merged); stem cache {st['stem_hits']} hits / "
          f"{st['stem_misses']} misses")
-    ad = dense["samples"]["joint_adaptive"]
-    emit(f"adaptive early exit (joint pass): "
-         f"{dense['pass_joint_ms']:.0f} -> "
-         f"{dense['pass_joint_adaptive_ms']:.0f} ms "
-         f"({summary['speedup_adaptive_vs_full_t']:.2f}x); samples "
-         f"{ad['samples_used']}/{ad['samples_budget']} "
-         f"({ad['early_exits']}/{ad['windows']} windows exited early, "
-         f"{ad['fallbacks']} full-T fallbacks)")
-    emit(f"  samples-used histogram: {ad['histogram']}; shared pass "
-         f"{summary['speedup_adaptive_shared_pass']:.2f}x (recorded, "
-         f"not gated — stem reuse already amortises the pass)")
     if "full_frame" in summary:
         ff = summary["full_frame"]
         emit(f"full-frame streams {ff['shape']}: joint "
@@ -506,12 +417,3 @@ def test_episode_engine_throughput(system, emit):
         f"shared-context monitor pass speedup "
         f"{summary['speedup_shared_vs_joint_pass']:.2f}x below floor "
         f"{shared_floor}x")
-    # Adaptive early exit: seeded-reproducible, and must pay off on
-    # the joint monitor pass (same conservative floors as above).
-    assert summary["adaptive_seeded_reproducible"], (
-        "adaptive early-exit engine is not seeded-reproducible")
-    adaptive_floor = 1.05 if BENCH_SMOKE else 1.3
-    assert summary["speedup_adaptive_vs_full_t"] >= adaptive_floor, (
-        f"adaptive monitor pass speedup "
-        f"{summary['speedup_adaptive_vs_full_t']:.2f}x below floor "
-        f"{adaptive_floor}x")

@@ -33,12 +33,9 @@ echo
 # over the suites that touch it (certification harness included):
 # toggle -> suites.  REPRO_MONITOR_SHARED=1 reroutes every joint
 # monitoring path through the shared-context union planner;
-# REPRO_MONITOR_ADAPTIVE=1 turns the certified sequential stopping rule
-# on for every monitoring path.  repro.core.monitor honours both per
-# call.
+# repro.core.monitor honours it per call.
 MODE_RERUNS=(
     "REPRO_MONITOR_SHARED tests/core tests/segmentation tests/integration"
-    "REPRO_MONITOR_ADAPTIVE tests/core tests/integration"
 )
 for rerun in "${MODE_RERUNS[@]}"; do
     read -r toggle suites <<< "$rerun"

@@ -23,7 +23,7 @@ Shipped rules (``python -m repro.analysis --list-rules``):
   documented allowlist for the deliberate float64 islands.
 * **Engine-mode hygiene** (:mod:`repro.analysis.checkers.engine_mode`)
   — environment toggles (``REPRO_MONITOR_SHARED``,
-  ``REPRO_MONITOR_ADAPTIVE``, ...) are read only at their sanctioned
+  ``REPRO_SERVE_WORKERS``, ...) are read only at their sanctioned
   sites and never mutated directly.
 * **Fork-pool purity** (:mod:`repro.analysis.checkers.fork_purity`) —
   functions dispatched to ``EpisodeScheduler``'s fork pool must not

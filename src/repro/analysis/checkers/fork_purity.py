@@ -26,8 +26,8 @@ state copy-on-write (that is how the persistent pool ships the model
 once, as ``_pool_worker``'s inherited arguments).  Cross-module calls
 are not followed; keep worker tasks thin and local, which
 ``repro.serve.pool._pool_worker`` models: one pipeline built from
-inherited arguments, every mutable value in locals, RNG state and
-monitor stats round-tripped through the reply.
+inherited arguments, every mutable value in locals, RNG state
+round-tripped through the reply.
 """
 
 from __future__ import annotations

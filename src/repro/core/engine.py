@@ -25,10 +25,9 @@ stages with cross-episode batching:
   boundary through shared memory as zero-copy views — no per-call
   fork, no per-task model pickle.  Each task still carries its
   episode's RNG state explicitly, so results remain identical to
-  ``workers=1`` regardless of worker count or scheduling, and each
-  reply carries the episode's monitor stats so observability is
-  mode-independent.  :meth:`EpisodeScheduler.close` (or using the
-  scheduler as a context manager) shuts the pool down
+  ``workers=1`` regardless of worker count or scheduling.
+  :meth:`EpisodeScheduler.close` (or using the scheduler as a context
+  manager) shuts the pool down
   deterministically; :attr:`EpisodeScheduler.effective_workers`
   reports the degree actually in use (1 where ``fork`` is
   unavailable).
@@ -61,17 +60,6 @@ stages with cross-episode batching:
   path on overlap-heavy fleets; certified against the exact engine by
   ``tests/integration/test_shared_context_certification.py`` (moment
   envelope + zero verdict/decision flips on the seeded presets).
-
-* **Adaptive early-exit monitoring** (``MonitorConfig.adaptive`` or
-  ``REPRO_MONITOR_ADAPTIVE=1``) composes with the joint and shared
-  paths: stacked passes run on the segmenter's adaptive engine, the
-  monitor's sequential stopping rule
-  (:meth:`repro.core.monitor.RuntimeMonitor._zone_decided`) gates
-  each crop between sampling rounds, and a shared union window drops
-  out of the remaining rounds **only when every member zone is
-  decided**.  Temporal stem reuse still applies (cached stems feed the
-  adaptive pass as precomputed bases).  Per-run savings are reported
-  in :attr:`EpisodeScheduler.last_adaptive_stats`.
 
 :class:`EngineConfig` is the one documented home for the engine/monitor
 performance knobs that used to be spread over two entry points
@@ -373,18 +361,6 @@ class EpisodeScheduler:
         #: among them, and temporal stem-cache hits/misses.  Purely
         #: observational (benches and tests read it).
         self.last_shared_stats: dict[str, int] = {}
-        #: Adaptive-mode bookkeeping of the most recent ``run``,
-        #: mirroring ``last_shared_stats``: windows sampled, early
-        #: exits vs full-budget fallbacks, aggregate samples used vs
-        #: budget, and the samples-used histogram (see
-        #: :attr:`repro.core.monitor.RuntimeMonitor
-        #: .last_adaptive_stats`).  Aggregated across the engine's
-        #: stacked passes and — in exact mode — the per-episode
-        #: pipelines; worker replies carry their episode's stats back,
-        #: so the sharded path aggregates to the same totals as inline
-        #: (the sums are order-independent).
-        self.last_adaptive_stats: dict = \
-            RuntimeMonitor._empty_adaptive_stats()
         # Persistent fork-worker pool (workers > 1): created lazily on
         # the first sharded run, reused across runs, shut down by
         # close(); a weakref finalizer backstops abandoned schedulers.
@@ -409,8 +385,6 @@ class EpisodeScheduler:
             return []
         results: list[list[PipelineResult]] = [[] for _ in episodes]
         horizon = max(len(ep.frames) for ep in episodes)
-        self._joint_monitor.reset_adaptive_stats()
-        self.last_adaptive_stats = RuntimeMonitor._empty_adaptive_stats()
 
         pool = self._ensure_pool() if self.engine.workers > 1 else None
         if pool is not None:
@@ -477,24 +451,7 @@ class EpisodeScheduler:
                         pipeline._finish_episode(
                             ep.frames[t], labels[i][t],
                             seg_s[i][t]))
-                self._merge_adaptive_stats(
-                    self.last_adaptive_stats,
-                    pipeline.monitor.last_adaptive_stats)
-        self._merge_adaptive_stats(
-            self.last_adaptive_stats,
-            self._joint_monitor.last_adaptive_stats)
         return self._collect(episodes, results)
-
-    @staticmethod
-    def _merge_adaptive_stats(dst: dict, src: dict) -> None:
-        """Accumulate one monitor's adaptive stats into ``dst``."""
-        for key, val in src.items():
-            if key == "samples_histogram":
-                hist = dst.setdefault("samples_histogram", {})
-                for used, count in val.items():
-                    hist[used] = hist.get(used, 0) + count
-            else:
-                dst[key] = dst.get(key, 0) + val
 
     def _collect(self, episodes, results) -> list[EpisodeResult]:
         return [
@@ -640,20 +597,16 @@ class EpisodeScheduler:
 
         Each task ships its episode's monitor RNG state and receives
         the advanced state back, so the per-episode streams are
-        exactly those of the inline path.  Replies also carry the
-        episode's adaptive-monitor stats, merged here into
-        :attr:`last_adaptive_stats` — the sums are order-independent,
-        so the sharded totals equal the inline totals.
+        exactly those of the inline path.
         """
         deadline_s = (None if self.engine.deadline_ms is None
                       else self.engine.deadline_ms / 1000.0)
         for i, image in ready:
             pool.submit(i, image, rngs[i].bit_generator.state)
-        for i, result, state, stats in pool.collect(len(ready),
-                                                    deadline_s=deadline_s):
+        for i, result, state in pool.collect(len(ready),
+                                             deadline_s=deadline_s):
             rngs[i].bit_generator.state = state
             results[i].append(result)
-            self._merge_adaptive_stats(self.last_adaptive_stats, stats)
 
     # ------------------------------------------------------------------
     # Stage 2b: joint cross-episode monitor batching
@@ -767,14 +720,7 @@ class EpisodeScheduler:
             for st, cand in entries]
         crops = [crop_box.extract(st.image).astype(np.float32)
                  for (st, _), (crop_box, _) in zip(entries, boxes_rois)]
-        if monitor._adaptive_active():
-            # Sequential stopping rule per crop (one zone each); the
-            # monitor records the samples-used stats.
-            distributions = monitor._adaptive_window_pass(
-                crops, [[roi] for _, roi in boxes_rois],
-                self.engine.joint_max_batch)
-        else:
-            distributions = self._stack_pass(np.stack(crops))
+        distributions = self._stack_pass(np.stack(crops))
         # Eq. (2) over the whole stack at once — both the interval and
         # the threshold rule live in their single homes.
         upper = np.stack([d.upper_confidence(cfg.sigma_multiplier)
@@ -809,8 +755,7 @@ class EpisodeScheduler:
         Draws from the scheduler's *joint* RNG stream (like
         ``monitor_batching="joint"``): seeded and reproducible for a
         fixed wave sequence, independent of the engine's
-        ``monitor_batching`` knob, and composing with adaptive
-        early-exit monitoring when that is active.  Raises
+        ``monitor_batching`` knob.  Raises
         ``ValueError`` for a malformed image or a box that is empty or
         leaves its frame (the serve broker sheds those at admission).
         """
@@ -836,12 +781,7 @@ class EpisodeScheduler:
                 for k in members]
             crops = [crop_box.extract(items[k][0]).astype(np.float32)
                      for k, (crop_box, _) in zip(members, boxes_rois)]
-            if monitor._adaptive_active():
-                distributions = monitor._adaptive_window_pass(
-                    crops, [[roi] for _, roi in boxes_rois],
-                    self.engine.joint_max_batch)
-            else:
-                distributions = self._stack_pass(np.stack(crops))
+            distributions = self._stack_pass(np.stack(crops))
             upper = np.stack([d.upper_confidence(cfg.sigma_multiplier)
                               for d in distributions])
             unsafe = monitor.unsafe_from_upper(upper)
@@ -1029,19 +969,7 @@ class EpisodeScheduler:
                 for j, (st, wnd, _) in enumerate(entries):
                     new_caches[st.index][wnd.box] = (crops[j], base[j])
 
-        if monitor._adaptive_active():
-            # A window leaves the sampling rounds only when every
-            # member zone is decided; cached stems feed the adaptive
-            # engine as precomputed bases (stems are deterministic, so
-            # temporal reuse composes unchanged).
-            member_rois = [
-                monitor._window_zone_rois([wnd], spans)[0]
-                for _, wnd, spans in entries]
-            distributions = monitor._adaptive_window_pass(
-                crops, member_rois, self.engine.joint_max_batch,
-                bases=None if base is None else list(base))
-        else:
-            distributions = self._stack_pass(stack, bases=base)
+        distributions = self._stack_pass(stack, bases=base)
         upper = np.stack([d.upper_confidence(cfg.sigma_multiplier)
                           for d in distributions])
         unsafe = monitor.unsafe_from_upper(upper)

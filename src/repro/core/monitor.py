@@ -11,7 +11,8 @@ the paper picks ``tau = 0.125``, "to make sure that the road score is
 lower than a random guess".  The rule fails closed: every threshold
 test is written ``~(x <= tau)``, so a non-finite statistic (a NaN or
 infinite frame drives the moments to NaN) counts as unsafe and its
-zone is rejected.
+zone is rejected.  So does a zone pixel its segmented crop does not
+hold, which only a frame no stride divides can produce.
 
 Following Fig. 2, the monitor runs on *sub-images* (the candidate zone
 plus its drift buffer), not on the full frame — the full-frame Bayesian
@@ -59,35 +60,6 @@ the PR 4 template).  ``REPRO_MONITOR_SHARED=1`` reroutes
 every ``joint=True`` call through the shared-context planner — the
 environment toggle ``scripts/check.sh`` uses to re-run the
 monitor-touching suites under this mode.
-
-Adaptive early-exit monitoring (sequential testing)
----------------------------------------------------
-Every mode above pays all ``T`` MC samples per zone even when Eq. (2)
-is statistically decided after a handful.  With
-``MonitorConfig.adaptive`` (or ``REPRO_MONITOR_ADAPTIVE=1``) the
-monitor instead samples in rounds of ``adaptive_check_every`` on the
-segmenter's adaptive engine
-(:meth:`repro.segmentation.bayesian.BayesianSegmenter
-.predict_distribution_adaptive`) and stops a zone's pass as soon as a
-sequential confidence bound proves that **no outcome of the remaining
-samples can flip the verdict**: each pixel's remaining samples are
-assumed inside a predictive interval ``mu_t -/+ adaptive_margin *
-(sigma_t + floor)`` (clipped to ``[0, 1]``), and the exact extrema of
-the completed ``mu_T + s * sigma_T`` over that box are evaluated by
-vertex enumeration (the statistic is coordinate-wise convex, so the
-box maximum sits on a vertex with ``k`` remaining samples at the top
-edge and ``r - k`` at the bottom).  A zone exits early only when the
-bound certifies the Eq. (2) / ``max_unsafe_fraction`` outcome *and*
-the current ``t``-sample verdict already agrees with it; a shared
-union window exits only when every member zone is decided.  Worst
-case the pass runs all ``T`` samples, so the certified envelope is
-one-sided.  Early exit truncates the mask stream (a stream change,
-like shared mode), so adaptive mode is certified with the PR 5
-package — ROI moment envelope plus Fig. 4 / safety-book / campaign
-zero-flip gates (``tests/integration/test_adaptive_certification.py``)
-— never by bit-pinning.  ``adaptive_margin=0`` disables the stopping
-rule entirely and routes through the unchanged full-``T`` paths,
-bit for bit.
 """
 
 from __future__ import annotations
@@ -104,26 +76,12 @@ from repro.utils.validation import check_image_chw, check_probability
 
 __all__ = ["MonitorConfig", "ZoneVerdict", "UnionWindow",
            "RuntimeMonitor", "pad_span", "check_zone_box",
-           "shared_context_default", "adaptive_default"]
+           "shared_context_default"]
 
 #: Environment toggle: ``REPRO_MONITOR_SHARED=1`` makes every
 #: ``joint=True`` monitoring path run through the shared-context
 #: union-crop planner instead of the per-crop joint pass.
 _SHARED_ENV = "REPRO_MONITOR_SHARED"
-
-#: Environment toggle: ``REPRO_MONITOR_ADAPTIVE=1`` makes every
-#: monitoring path run in adaptive early-exit mode (sequential
-#: stopping rule; see the module docstring).
-_ADAPTIVE_ENV = "REPRO_MONITOR_ADAPTIVE"
-
-#: Additive floor (probability units) on the assumed predictive
-#: interval half-width ``adaptive_margin * (sigma_t + floor)``: a
-#: pixel whose first samples happen to agree exactly has a zero
-#: sample-sigma, and a zero-width interval would certify on no
-#: evidence.  0.02 keeps confidently-safe pixels decidable at the
-#: paper's T=10 / tau=0.125 operating point while never assuming the
-#: remaining samples are an exact replay.
-_ADAPTIVE_WIDTH_FLOOR = 0.02
 
 
 def shared_context_default() -> bool:
@@ -134,18 +92,6 @@ def shared_context_default() -> bool:
     re-importing.
     """
     return os.environ.get(_SHARED_ENV, "") == "1"
-
-
-def adaptive_default() -> bool:
-    """Whether monitoring defaults to adaptive early-exit mode.
-
-    Read per call, exactly like :func:`shared_context_default`, so
-    ``scripts/check.sh`` can re-run whole suites under the adaptive
-    engine without re-importing.  Composes with the shared toggle:
-    both set means shared-context planning with per-window adaptive
-    sampling.
-    """
-    return os.environ.get(_ADAPTIVE_ENV, "") == "1"
 
 
 def check_zone_box(image: np.ndarray, box: Box) -> None:
@@ -224,9 +170,9 @@ class MonitorConfig:
     ----------
     tau:
         Per-pixel probability threshold of Eq. (2); a pixel is unsafe
-        when the lower confidence bound of its busy-road probability
-        exceeds ``tau``.  Default ``1/NUM_CLASSES`` (0.125), the
-        paper's choice.
+        when the upper confidence bound ``mu + sigma_multiplier *
+        sigma`` of any busy-road class probability exceeds ``tau``.
+        Default ``1/NUM_CLASSES`` (0.125), the paper's choice.
     sigma_multiplier:
         Width of the confidence bound in standard deviations — the
         "3 sigma" of Eq. (2).
@@ -239,7 +185,9 @@ class MonitorConfig:
         below this; 0.0 reproduces the paper's zero-tolerance rule.
     context_margin_px:
         Extra context (pixels, pre-stride-alignment) added around
-        each zone crop before segmentation.
+        each zone crop before segmentation; ``>= 0``.  A negative
+        margin would shrink the crop inside the zone, and the verdict
+        would judge only part of it (fail open), so it is refused.
     overlap_budget:
         Shared-context union planning: a crop joins a union window
         only while ``union_area <= overlap_budget *
@@ -248,31 +196,6 @@ class MonitorConfig:
         separately — merging is a pure win (overlap pixels computed
         once, fewer forwards); raise it to trade extra pixels for
         fewer, larger passes.
-    adaptive:
-        Run every monitoring pass in adaptive early-exit mode: a
-        sequential stopping rule halts a zone's MC pass as soon as a
-        confidence bound proves no outcome of the remaining samples
-        can flip the Eq. (2) / ``max_unsafe_fraction`` verdict (worst
-        case: all ``num_samples``, so the certified envelope is
-        one-sided).  ``REPRO_MONITOR_ADAPTIVE=1`` upgrades ``False``
-        at call time, mirroring the shared-context toggle.  Early
-        exit changes the mask stream, so adaptive results are
-        moment-envelope certified, not bit-pinned; exits are further
-        gated to ``t >= num_samples / 3`` so running estimates are
-        never certified on a sliver of the budget.
-    adaptive_check_every:
-        Checkpoint cadence of the adaptive engine, in samples: the
-        stopping rule is evaluated every this many samples per
-        still-active zone.  ``>= num_samples`` degenerates to one
-        full-budget round — bit-for-bit the non-adaptive stream.
-    adaptive_margin:
-        Width multiplier of the predictive interval the stopping rule
-        assumes for each remaining sample (half-width
-        ``adaptive_margin * (sigma_t + 0.02)``, clipped to [0, 1]).
-        Larger is more conservative (later exits); ``0`` disables the
-        stopping rule entirely and routes through the unchanged
-        full-``num_samples`` paths bit for bit — the certified
-        reference.
     """
 
     tau: float = 1.0 / NUM_CLASSES  # 0.125, the paper's choice
@@ -288,11 +211,6 @@ class MonitorConfig:
     #: pure win (overlap pixels computed once, fewer forwards); raise
     #: it to trade extra pixels for fewer, larger passes.
     overlap_budget: float = 1.0
-    #: Adaptive early-exit mode (sequential stopping rule); the
-    #: ``REPRO_MONITOR_ADAPTIVE=1`` toggle upgrades ``False`` per call.
-    adaptive: bool = False
-    adaptive_check_every: int = 2   # stopping-rule cadence, in samples
-    adaptive_margin: float = 1.0    # interval width; 0 disables exits
 
     def __post_init__(self):
         check_probability("tau", self.tau)
@@ -301,14 +219,12 @@ class MonitorConfig:
             raise ValueError("sigma_multiplier must be non-negative")
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
+        if self.context_margin_px < 0:
+            raise ValueError("context_margin_px must be >= 0")
         if not self.road_classes:
             raise ValueError("road_classes must not be empty")
         if self.overlap_budget <= 0:
             raise ValueError("overlap_budget must be positive")
-        if self.adaptive_check_every < 1:
-            raise ValueError("adaptive_check_every must be >= 1")
-        if self.adaptive_margin < 0:
-            raise ValueError("adaptive_margin must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -352,138 +268,6 @@ class RuntimeMonitor:
                  config: MonitorConfig | None = None):
         self.segmenter = segmenter
         self.config = config or MonitorConfig()
-        #: Adaptive-mode observability, mirroring the episode engine's
-        #: ``last_shared_stats``: accumulated across adaptive passes
-        #: until :meth:`reset_adaptive_stats`.  One entry per
-        #: *segmentation unit* (crop or union window):
-        #: ``samples_histogram`` maps samples-consumed -> unit count,
-        #: ``early_exits``/``fallbacks`` split units by whether the
-        #: stopping rule fired before the full budget, and
-        #: ``samples_used``/``samples_budget`` give the aggregate
-        #: saving ratio.
-        self.last_adaptive_stats = self._empty_adaptive_stats()
-
-    # ------------------------------------------------------------------
-    # Adaptive-mode plumbing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _empty_adaptive_stats() -> dict:
-        return {"windows": 0, "early_exits": 0, "fallbacks": 0,
-                "samples_used": 0, "samples_budget": 0,
-                "samples_histogram": {}}
-
-    def reset_adaptive_stats(self) -> None:
-        """Zero the accumulated :attr:`last_adaptive_stats`."""
-        self.last_adaptive_stats = self._empty_adaptive_stats()
-
-    def _record_adaptive(self, samples_used) -> None:
-        budget = int(self.config.num_samples)
-        stats = self.last_adaptive_stats
-        for used in samples_used:
-            used = int(used)
-            stats["windows"] += 1
-            stats["samples_used"] += used
-            stats["samples_budget"] += budget
-            hist = stats["samples_histogram"]
-            hist[used] = hist.get(used, 0) + 1
-            if used < budget:
-                stats["early_exits"] += 1
-            else:
-                stats["fallbacks"] += 1
-
-    def _adaptive_active(self) -> bool:
-        """Whether monitoring passes run the adaptive engine.
-
-        ``adaptive_margin == 0`` means the stopping rule can never
-        fire, so the call routes through the unchanged full-``T``
-        paths instead — keeping the disabled configuration bit-for-bit
-        the certified reference stream.  Duck-typed segmenter
-        substitutes without the adaptive engine (test doubles) also
-        fall back to the exact paths.
-        """
-        cfg = self.config
-        return (cfg.adaptive or adaptive_default()) \
-            and cfg.adaptive_margin > 0 \
-            and hasattr(self.segmenter, "predict_distribution_adaptive")
-
-    def _zone_decided(self, distribution: PixelDistribution,
-                      roi: Box) -> bool:
-        """The sequential stopping rule for one zone (see module docs).
-
-        ``distribution`` is the running ``t``-sample moment snapshot of
-        the zone's crop (or union window); ``roi`` is the zone's
-        region of interest within it.  Returns ``True`` when no
-        completion of the remaining ``T - t`` samples — each assumed
-        inside the clipped predictive interval ``mu -/+
-        adaptive_margin * (sigma + floor)`` per pixel — can flip the
-        Eq. (2) / ``max_unsafe_fraction`` verdict, *and* the current
-        ``t``-sample verdict already matches that certified outcome.
-
-        The completed statistic ``U = mu_T + s * sigma_T`` is, per
-        pixel, coordinate-wise convex in each remaining sample (its
-        variance is a nonnegative quadratic in each coordinate, so
-        ``sqrt`` of it is convex), hence its box maximum sits on a
-        vertex; by exchangeability the vertices reduce to ``k``
-        remaining samples at the top edge and ``r - k`` at the bottom,
-        enumerated exactly.  The minimum is bounded below by
-        ``min(mu_T) + s * min(sigma_T)`` over the box.
-        """
-        cfg = self.config
-        t = int(distribution.num_samples)
-        budget = int(cfg.num_samples)
-        r = budget - t
-        if r <= 0:
-            return True
-        # Never certify on a sliver of evidence: the running sigma of
-        # fewer than two samples is degenerate, and exits before a
-        # third of the budget would let the moment snapshot drift far
-        # from the full-T estimate (the certified moment envelope is
-        # measured under this floor).
-        if t < 2 or 3 * t < budget:
-            return False
-        road = [int(cls) for cls in cfg.road_classes]
-        mu = roi.extract(distribution.mean)[road]
-        sd = roi.extract(distribution.std)[road]
-        if mu.size == 0:
-            # Degenerate ROI: the verdict is the constant
-            # unsafe_fraction = 1.0, which no sample can change.
-            return True
-        s = cfg.sigma_multiplier
-        tau = cfg.tau
-        limit = cfg.max_unsafe_fraction
-        # Every threshold test below is written ``~(x <= tau)`` so a
-        # non-finite statistic counts as unsafe (fails closed).
-        point_unsafe = (~(mu + s * sd <= tau)).any(axis=0)
-        point_accept = float(point_unsafe.mean()) <= limit
-
-        width = cfg.adaptive_margin * (sd + _ADAPTIVE_WIDTH_FLOOR)
-        lo = np.clip(mu - width, 0.0, 1.0)
-        hi = np.clip(mu + width, 0.0, 1.0)
-        acc = mu * t                       # running sample sum
-        acc_sq = (sd * sd + mu * mu) * t   # running sum of squares
-        # Exact box maximum of U by vertex enumeration over k.
-        ks = np.arange(r + 1, dtype=np.intp).reshape(-1, 1, 1, 1)
-        mean_k = (acc + ks * hi + (r - ks) * lo) / budget
-        sq_k = (acc_sq + ks * hi * hi + (r - ks) * lo * lo) / budget
-        upper = mean_k + s * np.sqrt(
-            np.maximum(sq_k - mean_k ** 2, 0.0))
-        may_unsafe = (~(upper.max(axis=0) <= tau)).any(axis=0)
-        if float(may_unsafe.mean()) <= limit:
-            # Even if every not-provably-safe pixel ends unsafe the
-            # zone is accepted; exit once the running verdict agrees.
-            return point_accept
-        # Lower bound on U: min mean plus s times a sigma lower bound.
-        mean_lo = (acc + r * lo) / budget
-        mean_hi = (acc + r * hi) / budget
-        var_lb = np.maximum(
-            (acc_sq + r * lo * lo) / budget - mean_hi ** 2, 0.0)
-        must_unsafe = (~(mean_lo + s * np.sqrt(var_lb) <= tau)).any(
-            axis=0)
-        if float(must_unsafe.mean()) > limit:
-            # Even if every uncertain pixel ends safe the zone is
-            # rejected; exit once the running verdict agrees.
-            return not point_accept
-        return False
 
     # ------------------------------------------------------------------
     def unsafe_pixels(self, distribution: PixelDistribution) -> np.ndarray:
@@ -529,8 +313,13 @@ class RuntimeMonitor:
         The segmentation model needs spatial sizes divisible by its
         output stride; the crop window is grown symmetrically (within
         frame bounds) until that holds.  Returns the crop box and the
-        region of interest *within the crop* corresponding to the
-        original box, without extracting any pixels.
+        original box in crop coordinates (the region of interest),
+        without extracting any pixels.  On a frame no stride divides,
+        trimming the crop to the stride can cut off part of the zone
+        (always, for a zone wider than the widest stride-aligned
+        window); the region of interest then sticks out of the crop,
+        and the verdict counts the part the crop lacks as unsafe
+        (:meth:`_verdict_from_unsafe`).
 
         ``target`` forces the crop to exact ``(height, width)`` spans
         (already stride-aligned, at most the frame size) — used by
@@ -547,7 +336,6 @@ class RuntimeMonitor:
         c0, cw = pad_span(grown.col, grown.width, w, stride, tw)
         crop_box = Box(r0, c0, rh, cw)
         roi = Box(box.row - r0, box.col - c0, box.height, box.width)
-        roi = roi.clip_to(rh, cw)
         return crop_box, roi
 
     def _stride_padded_crop(self, image: np.ndarray, box: Box,
@@ -610,52 +398,6 @@ class RuntimeMonitor:
         return [UnionWindow(box=box, members=tuple(members))
                 for box, members, _ in windows]
 
-    def _window_zone_rois(self, windows: list[UnionWindow],
-                          spans) -> list[list[Box]]:
-        """Per-window member-zone ROI boxes in *window* coordinates.
-
-        ``spans[idx]`` is the ``(crop_box, roi)`` pair of zone ``idx``
-        (ROI relative to its natural crop); composing with the
-        window offset gives the box :meth:`_zone_decided` needs to
-        read a zone out of its window's moment snapshot.
-        """
-        rois: list[list[Box]] = []
-        for wnd in windows:
-            per_window = []
-            for idx in wnd.members:
-                crop_box, roi = spans[idx]
-                per_window.append(
-                    Box(crop_box.row - wnd.box.row + roi.row,
-                        crop_box.col - wnd.box.col + roi.col,
-                        roi.height, roi.width))
-            rois.append(per_window)
-        return rois
-
-    def _adaptive_window_pass(self, crops, member_rois: list[list[Box]],
-                              max_batch: int | None, bases=None
-                              ) -> list[PixelDistribution]:
-        """One adaptive pass over windows, each gating on its members.
-
-        A window drops out of the remaining sampling rounds only when
-        :meth:`_zone_decided` holds for **every** member zone ROI in
-        ``member_rois[i]`` — the engine-level contract for shared
-        union windows.  Records :attr:`last_adaptive_stats`; also the
-        entry point the episode engine's joint/shared waves use
-        (``bases`` carries reused deterministic-stem activations).
-        """
-        cfg = self.config
-        distributions, used = \
-            self.segmenter.predict_distribution_adaptive(
-                crops, num_samples=cfg.num_samples,
-                max_batch=max_batch,
-                check_every=cfg.adaptive_check_every,
-                decide=lambda i, snap: all(
-                    self._zone_decided(snap, roi)
-                    for roi in member_rois[i]),
-                bases=bases)
-        self._record_adaptive(used)
-        return distributions
-
     def _check_zones_shared(self, image: np.ndarray, boxes: list[Box],
                             max_batch: int | None) -> list[ZoneVerdict]:
         """The shared-context joint pass (see the module docstring).
@@ -673,14 +415,9 @@ class RuntimeMonitor:
             image.shape[1:], [crop_box for crop_box, _ in spans])
         crops = [wnd.box.extract(image).astype(np.float32)
                  for wnd in windows]
-        if self._adaptive_active():
-            distributions = self._adaptive_window_pass(
-                crops, self._window_zone_rois(windows, spans),
-                max_batch)
-        else:
-            distributions = self.segmenter.predict_distribution_ragged(
-                crops, num_samples=self.config.num_samples,
-                max_batch=max_batch)
+        distributions = self.segmenter.predict_distribution_ragged(
+            crops, num_samples=self.config.num_samples,
+            max_batch=max_batch)
         verdicts: list[ZoneVerdict | None] = [None] * len(boxes)
         sig = self.config.sigma_multiplier
         for wnd, dist in zip(windows, distributions):
@@ -711,9 +448,16 @@ class RuntimeMonitor:
 
         The single home of the acceptance condition; the episode
         engine's joint pass calls this with masks it evaluated over a
-        whole crop stack at once.
+        whole crop stack at once.  Zone pixels outside the crop were
+        never segmented, so they count as unsafe (fail closed).
         """
-        unsafe_zone = roi.extract(unsafe_crop)
+        seen = roi.clip_to(*unsafe_crop.shape[-2:])
+        unsafe_zone = seen.extract(unsafe_crop)
+        if seen != roi:
+            judged = unsafe_zone
+            unsafe_zone = np.ones((roi.height, roi.width), dtype=bool)
+            unsafe_zone[seen.row - roi.row:seen.bottom - roi.row,
+                        seen.col - roi.col:seen.right - roi.col] = judged
         fraction = float(unsafe_zone.mean()) if unsafe_zone.size else 1.0
         accepted = fraction <= self.config.max_unsafe_fraction
         return ZoneVerdict(accepted=accepted, unsafe_fraction=fraction,
@@ -736,19 +480,6 @@ class RuntimeMonitor:
         check_zone_box(image, box)
         crop, roi = self._stride_padded_crop(image, box)
         cfg = self.config
-        if self._adaptive_active():
-            # Single-crop adaptive rounds consume the exact sequential
-            # mask stream, so a pass that never exits early is
-            # bit-for-bit the non-adaptive call.
-            distributions, used = \
-                self.segmenter.predict_distribution_adaptive(
-                    [crop], num_samples=cfg.num_samples,
-                    max_batch=max_batch,
-                    check_every=cfg.adaptive_check_every,
-                    decide=lambda _i, snap: self._zone_decided(
-                        snap, roi))
-            self._record_adaptive(used)
-            return self._verdict(distributions[0], box, roi)
         distribution = self.segmenter.predict_distribution(
             crop, num_samples=cfg.num_samples,
             max_batch=max_batch)
@@ -820,26 +551,9 @@ class RuntimeMonitor:
             order.setdefault(crop_box, len(order))
         crops = [crop_box.extract(image).astype(np.float32)
                  for crop_box in order]
-        cfg = self.config
-        if self._adaptive_active():
-            # A deduplicated window is decided only when *every* zone
-            # reading its distribution is decided.
-            users: list[list[Box]] = [[] for _ in order]
-            for _box, (crop_box, roi) in zip(boxes, targets):
-                users[order[crop_box]].append(roi)
-            distributions, used = \
-                self.segmenter.predict_distribution_adaptive(
-                    crops, num_samples=cfg.num_samples,
-                    max_batch=max_batch,
-                    check_every=cfg.adaptive_check_every,
-                    decide=lambda i, snap: all(
-                        self._zone_decided(snap, roi)
-                        for roi in users[i]))
-            self._record_adaptive(used)
-        else:
-            distributions = self.segmenter.predict_distribution_stack(
-                np.stack(crops), num_samples=cfg.num_samples,
-                max_batch=max_batch)
+        distributions = self.segmenter.predict_distribution_stack(
+            np.stack(crops), num_samples=self.config.num_samples,
+            max_batch=max_batch)
         return [self._verdict(distributions[order[crop_box]], box, roi)
                 for box, (crop_box, roi) in zip(boxes, targets)]
 
@@ -855,4 +569,5 @@ class RuntimeMonitor:
         crop, roi = self._stride_padded_crop(image, Box(0, 0, h, w))
         distribution = self.segmenter.predict_distribution(
             crop, num_samples=self.config.num_samples)
+        roi = roi.clip_to(*crop.shape[1:])
         return roi.extract(self.unsafe_pixels(distribution))

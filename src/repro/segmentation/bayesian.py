@@ -60,29 +60,8 @@ The public batched surface is:
 * :meth:`BayesianSegmenter.predict_distribution_ragged` — one jointly
   seeded pass over *different-shaped* crops (the shared-context
   monitor's union windows; same-shape runs are batched).
-* :meth:`BayesianSegmenter.predict_distribution_adaptive` — the
-  sequential-testing engine: samples arrive in *rounds* of
-  ``check_every`` per still-active crop, a caller-supplied ``decide``
-  callback inspects the running moments between rounds, and decided
-  crops drop out of the remaining rounds (worst case: every crop runs
-  all ``T`` samples).  Round-major mask stream, documented below.
 * :meth:`BayesianSegmenter.predict_deterministic_batch` — the standard
   (dropout-off) model over a stack of frames in chunked forwards.
-
-Adaptive mask-stream contract
------------------------------
-The adaptive engine consumes one joint dropout seeding round-major:
-rounds in order, still-active crops in input order within a round
-(consecutive same-shape runs batched), crop-major sample-minor within
-a run.  For a *single* crop the rounds merely split the sample
-sequence into more chunks, so the stream — and hence the moments when
-no early exit fires — is bit-for-bit the full-``T``
-:meth:`BayesianSegmenter.predict_distribution` stream.  For ``N > 1``
-the round interleaving is a different (documented) stream from the
-image-major stack pass, exactly like ``independent=False`` batching —
-certified by the monitor's moment-envelope package, not bit-pinning.
-With ``check_every >= T`` there is a single round and the stream
-degenerates to the non-adaptive ragged/stack stream bit for bit.
 """
 
 from __future__ import annotations
@@ -156,15 +135,6 @@ class _RunningMoments:
         var = np.maximum(self.acc_sq / self.count - mean ** 2, 0.0)
         return PixelDistribution(mean=mean, std=np.sqrt(var),
                                  num_samples=self.count)
-
-    def snapshot(self) -> PixelDistribution:
-        """Moments of the samples seen *so far* (checkpoint view).
-
-        Identical arithmetic to :meth:`finalize`; the adaptive engine
-        calls it between sampling rounds so a stopping rule can inspect
-        the running estimate without disturbing the accumulator.
-        """
-        return self.finalize()
 
 
 class BayesianSegmenter:
@@ -498,9 +468,9 @@ class BayesianSegmenter:
         in :meth:`predict_distribution_batch`).
 
         ``bases`` optionally supplies the images' precomputed
-        deterministic-stem activations (:meth:`compute_prefix`), exactly
-        like :meth:`predict_distribution_adaptive`; stems are
-        deterministic, so the moments are those of a recomputed stem.
+        deterministic-stem activations (:meth:`compute_prefix`); stems
+        are deterministic, so the moments are those of a recomputed
+        stem.
         """
         stack = np.asarray(stack, dtype=np.float32)
         if stack.ndim != 4:
@@ -584,106 +554,6 @@ class BayesianSegmenter:
         finally:
             self._set_mc(False)
         return [m.finalize() for m in moments]
-
-    def predict_distribution_adaptive(self, crops,
-                                      num_samples: int | None = None,
-                                      max_batch: int | None = None,
-                                      check_every: int = 1,
-                                      decide=None,
-                                      bases=None
-                                      ) -> tuple[list[PixelDistribution],
-                                                 list[int]]:
-        """Sequential-testing MC pass with per-crop early exit.
-
-        The adaptive counterpart of
-        :meth:`predict_distribution_ragged`: all crops share one
-        dropout seeding, but samples arrive in *rounds* of
-        ``check_every`` per still-active crop.  Between rounds,
-        ``decide(index, snapshot)`` — ``snapshot`` being the
-        :class:`PixelDistribution` of the samples seen so far — may
-        return ``True`` to drop that crop from every remaining round.
-        Worst case (``decide`` never fires, or ``decide is None``)
-        every crop consumes exactly ``num_samples`` samples.
-
-        ``bases`` optionally supplies precomputed deterministic-stem
-        activations, one per crop (raw crops for a split-free model) —
-        the episode engine's temporal stem reuse; otherwise prefixes
-        are computed here, dropout-off, over consecutive same-shape
-        runs.
-
-        Returns ``(distributions, samples_used)``, both in input
-        order.  Mask-stream contract: see the module docstring —
-        round-major, active crops in input order, consecutive
-        same-shape runs batched; bit-for-bit the non-adaptive stream
-        for a single crop or whenever ``check_every >= num_samples``.
-        """
-        crops = [np.asarray(c, dtype=np.float32) for c in crops]
-        for i, crop in enumerate(crops):
-            check_image_chw(f"crops[{i}]", crop)
-        if not crops:
-            return [], []
-        t_total = self._resolve_samples(num_samples)
-        b_max = self._resolve_max_batch(max_batch)
-        check_positive("check_every", check_every)
-        k_round = int(check_every)
-        self._ensure_eval()
-
-        suffix = self._suffix_forward()
-        if bases is not None:
-            if len(bases) != len(crops):
-                raise ValueError(
-                    f"bases has {len(bases)} entries for {len(crops)} "
-                    "crops")
-            tiles = [np.asarray(b, dtype=np.float32) for b in bases]
-        elif suffix is not None:
-            # Deterministic prefixes (dropout off) per consecutive
-            # same-shape run, exactly like the ragged path.
-            tiles: list[np.ndarray] = [crops[0]] * len(crops)
-            start = 0
-            for i in range(1, len(crops) + 1):
-                if i == len(crops) \
-                        or crops[i].shape != crops[start].shape:
-                    base = self.compute_prefix(
-                        np.stack(crops[start:i]), b_max)
-                    for j in range(start, i):
-                        tiles[j] = base[j - start]
-                    start = i
-        else:
-            tiles = crops
-
-        moments = [_RunningMoments() for _ in crops]
-        used = [0] * len(crops)
-        active = list(range(len(crops)))
-        done_t = 0
-        self._set_mc(True, rng=self.rng)
-        try:
-            while active and done_t < t_total:
-                k = min(k_round, t_total - done_t)
-                # Consecutive same-shape runs over the active crops.
-                start = 0
-                while start < len(active):
-                    stop = start + 1
-                    while stop < len(active) \
-                            and tiles[active[stop]].shape \
-                            == tiles[active[start]].shape:
-                        stop += 1
-                    run = active[start:stop]
-                    base = np.stack([tiles[j] for j in run])
-                    for owners, scores in self._mc_tiles(
-                            base, suffix, k, b_max):
-                        for m in range(len(owners)):
-                            moments[run[int(owners[m])]].update(
-                                scores[m])
-                    start = stop
-                done_t += k
-                for j in active:
-                    used[j] = done_t
-                if done_t < t_total and decide is not None:
-                    active = [j for j in active
-                              if not decide(j, moments[j].snapshot())]
-        finally:
-            self._set_mc(False)
-        return [m.finalize() for m in moments], used
 
     def predict_distribution_batch(self, images,
                                    num_samples: int | None = None,

@@ -2,9 +2,9 @@
 
 This replaces the fork-per-call ``multiprocessing.Pool`` the engine
 used to build inside every ``run()``: that design paid fork + model
-pickling per wavefront (the ROADMAP measured ``workers=2`` at 0.72x),
-parked the model in a module global (``_WORKER_MODEL``) that was only
-cleared on the happy path, and threw away all monitor statistics.
+pickling per wavefront (the ROADMAP measured ``workers=2`` at 0.72x)
+and parked the model in a module global (``_WORKER_MODEL``) that was
+only cleared on the happy path.
 
 The persistent pool fixes the economics and the hygiene:
 
@@ -20,9 +20,6 @@ The persistent pool fixes the economics and the hygiene:
   monitor RNG state and returns the advanced state, exactly like the
   old pool, so ``workers=N`` stays bit-for-bit identical to inline for
   any worker count.
-* **Observability round-trips**: each reply carries the episode's
-  adaptive-monitor stats so the scheduler can merge them — the old
-  pool silently reported nothing.
 * **Deterministic lifecycle**: ``close()`` (also via context manager)
   sends shutdown sentinels, joins the workers with a bounded timeout
   and an escalation ladder (join -> terminate -> kill), and unlinks
@@ -107,9 +104,8 @@ def _pool_worker(worker_id, incarnation, conn, stale_conns,
     parent (an inherited copy of a pipe end would keep it open).
 
     Task: ``(index, attempt, ticket, rng_state)``.  Reply: ``(index,
-    attempt, result, new_rng_state, adaptive_stats)`` on success, or
-    ``(index, attempt, exc, None, None)`` — the parent re-raises
-    instead of hanging.
+    attempt, result, new_rng_state)`` on success, or ``(index,
+    attempt, exc, None)`` — the parent re-raises instead of hanging.
     """
     from repro.core.pipeline import LandingPipeline
     from repro.serve.chaos import apply_fault
@@ -139,7 +135,6 @@ def _pool_worker(worker_id, incarnation, conn, stale_conns,
                 apply_fault(fault)  # may never return (kill/hang)
             frame = attach_frame(ticket, segments)
             pipeline.segmenter.rng.bit_generator.state = rng_state
-            pipeline.monitor.reset_adaptive_stats()
             result = pipeline.run(frame)
             del frame  # drop the buffer export before any segment close
             detach_frame(ticket, segments)
@@ -148,10 +143,9 @@ def _pool_worker(worker_id, incarnation, conn, stale_conns,
                 attempt,
                 result,
                 pipeline.segmenter.rng.bit_generator.state,
-                dict(pipeline.monitor.last_adaptive_stats),
             )
         except BaseException as exc:  # noqa: BLE001 - forwarded to parent
-            reply = (index, attempt, exc, None, None)
+            reply = (index, attempt, exc, None)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -282,7 +276,7 @@ class PersistentWorkerPool:
         self._dispatch()
 
     def collect(self, count: int, deadline_s: float | None = None) -> list:
-        """Return ``count`` outcomes ``(index, result, rng_state, stats)``.
+        """Return ``count`` outcomes ``(index, result, rng_state)``.
 
         Replies are returned in completion order — callers key on the
         submitted index.  All ``count`` outcomes are drained (and their
@@ -304,7 +298,7 @@ class PersistentWorkerPool:
         while len(out) + timed_out < count:
             if self._replies:
                 worker_id, reply = self._replies.popleft()
-                index, attempt, payload, rng_state, stats = reply
+                index, attempt, payload, rng_state = reply
                 entry = self._inflight.get(index)
                 if entry is None or entry.attempt != attempt:
                     continue  # stale reply from a superseded attempt
@@ -318,7 +312,7 @@ class PersistentWorkerPool:
                         failure = (index, payload)
                     out.append(None)  # placeholder: counted, not returned
                 else:
-                    out.append((index, payload, rng_state, stats))
+                    out.append((index, payload, rng_state))
                 continue
             try:
                 self._pump(deadline_s)

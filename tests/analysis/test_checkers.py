@@ -225,7 +225,7 @@ class TestEngineModeHygiene:
         result = run(
             """
             import os
-            mode = os.environ.get("REPRO_MONITOR_ADAPTIVE")
+            mode = os.environ.get("REPRO_SERVE_WORKERS")
             other = os.getenv("REPRO_MONITOR_SHARED")
             """,
             "src/repro/core/new_module.py", tmp_path,

@@ -1,6 +1,7 @@
 """Whole-tree smoke: the repo itself lints clean, and the linter
 actually bites when the guarded invariants are reintroduced."""
 
+import re
 import textwrap
 from pathlib import Path
 
@@ -81,17 +82,6 @@ def test_require_seed_documented_in_rng_rule():
     assert "rng-discipline" in rng_module.read_text()
 
 
-def test_adaptive_toggle_documented_in_engine_mode_rule():
-    # Satellite contract (PR 7): the adaptive early-exit toggle is a
-    # sanctioned environment read, and the checker module says so —
-    # with the monitor module pointing back at the knob surface.
-    from repro.analysis.checkers import engine_mode
-
-    assert "REPRO_MONITOR_ADAPTIVE" in (engine_mode.__doc__ or "")
-    monitor_module = REPO_ROOT / "src/repro/core/monitor.py"
-    assert "REPRO_MONITOR_ADAPTIVE" in monitor_module.read_text()
-
-
 def test_serve_workers_toggle_documented_in_engine_mode_rule():
     # Satellite contract (PR 9): the serving layer's worker-count
     # toggle is a sanctioned environment read, the checker module
@@ -134,6 +124,55 @@ def test_check_sh_runs_strict_lint_first():
     assert lint_pos != -1, "check.sh does not run the linter"
     assert pytest_pos == -1 or lint_pos < pytest_pos, \
         "the lint stage must run before the test suite"
+
+
+def _mode_rerun_toggles(script: str) -> list[str]:
+    """The toggle each ``MODE_RERUNS=(...)`` entry of a check.sh names."""
+    block = re.search(r"^MODE_RERUNS=\($(.*?)^\)$", script,
+                      re.MULTILINE | re.DOTALL)
+    assert block, "check.sh has no MODE_RERUNS array"
+    toggles = []
+    for line in block.group(1).splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            toggles.append(line.strip('"').split()[0])
+    return toggles
+
+
+def _dead_toggles(toggles: list[str]) -> list[str]:
+    """Toggles that no sanctioned environment reader mentions."""
+    from repro.analysis.checkers.engine_mode import (
+        SANCTIONED_ENV_READERS,
+    )
+
+    readers = [(REPO_ROOT / rel).read_text()
+               for rel in sorted(SANCTIONED_ENV_READERS)]
+    return [t for t in toggles if not any(t in text for text in readers)]
+
+
+def test_check_sh_reruns_name_live_toggles():
+    # A rerun under a toggle nothing reads silently repeats the default
+    # path, yet reads as a certification of a mode that is gone.
+    script = (REPO_ROOT / "scripts" / "check.sh").read_text()
+    toggles = _mode_rerun_toggles(script)
+    assert toggles, "check.sh MODE_RERUNS has no entries"
+    dead = _dead_toggles(toggles)
+    assert not dead, \
+        f"check.sh reruns toggles no sanctioned reader consults: {dead}"
+
+
+def test_dead_rerun_toggle_is_caught():
+    script = textwrap.dedent(
+        """
+        MODE_RERUNS=(
+            "REPRO_MONITOR_SHARED tests/core tests/integration"
+            # "REPRO_COMMENTED_OUT tests/core"
+            "REPRO_NO_SUCH_TOGGLE tests/core"
+        )
+        """)
+    toggles = _mode_rerun_toggles(script)
+    assert toggles == ["REPRO_MONITOR_SHARED", "REPRO_NO_SUCH_TOGGLE"]
+    assert _dead_toggles(toggles) == ["REPRO_NO_SUCH_TOGGLE"]
 
 
 def test_example_suppression_parses():

@@ -430,7 +430,6 @@ def stack_calls(monkeypatch):
     from repro.segmentation.bayesian import BayesianSegmenter
 
     monkeypatch.delenv("REPRO_MONITOR_SHARED", raising=False)
-    monkeypatch.delenv("REPRO_MONITOR_ADAPTIVE", raising=False)
     calls = []
     original = BayesianSegmenter.predict_distribution_stack
 
@@ -475,13 +474,11 @@ class TestStackPassMoments:
     crop, in sample order), so their moments equal that pass's on the
     same seeded stack bit for bit."""
 
-    def test_check_zones_wave_matches_stack_pass(self, tiny_system,
-                                                 monkeypatch):
+    def test_check_zones_wave_matches_stack_pass(self, tiny_system):
         from repro.core import RuntimeMonitor
         from repro.segmentation.bayesian import BayesianSegmenter
         from repro.utils.geometry import Box
 
-        monkeypatch.delenv("REPRO_MONITOR_ADAPTIVE", raising=False)
         config = tiny_system.pipeline_config()
         frame = tiny_system.test_samples[0].image
         boxes = [Box(0, 0, 12, 12), Box(10, 20, 14, 10),

@@ -156,6 +156,36 @@ class TestZoneVerdicts:
             MonitorConfig(num_samples=0)
         with pytest.raises(ValueError):
             MonitorConfig(road_classes=())
+        # A negative margin would shrink the crop inside the zone and
+        # judge only part of it (fail open).
+        with pytest.raises(ValueError, match="context_margin_px"):
+            MonitorConfig(context_margin_px=-8)
+        assert MonitorConfig(context_margin_px=0).context_margin_px == 0
+
+
+class TestConfigValidation:
+    """Every knob refuses the values that would break Eq. (2) or the
+    crop geometry, naming itself, and keeps its boundary values (cases
+    beyond ``TestZoneVerdicts.test_config_validation``)."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("tau", -0.01), ("tau", float("nan")),
+        ("max_unsafe_fraction", -0.01), ("max_unsafe_fraction", 1.01),
+        ("max_unsafe_fraction", float("nan")),
+        ("context_margin_px", -1), ("overlap_budget", 0.0),
+    ])
+    def test_invalid_value_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MonitorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("tau", 0.0), ("tau", 1.0), ("max_unsafe_fraction", 0.0),
+        ("max_unsafe_fraction", 1.0), ("sigma_multiplier", 0.0),
+        ("num_samples", 1), ("context_margin_px", 0),
+        ("overlap_budget", 0.5),
+    ])
+    def test_boundary_value_kept(self, field, value):
+        assert getattr(MonitorConfig(**{field: value}), field) == value
 
 
 class TestBatchedZones:

@@ -276,15 +276,6 @@ class TestSingleZoneBitForBit:
 # Joint-pass deduplication of identical crop windows
 # ----------------------------------------------------------------------
 class TestJointDedup:
-    @pytest.fixture(autouse=True)
-    def _plain_joint_path(self, monkeypatch):
-        # These tests pin the *plain* joint path's dedup mechanics by
-        # spying on predict_distribution_stack; REPRO_MONITOR_ADAPTIVE
-        # would reroute segmentation through the adaptive engine
-        # (whose dedup fan-out is covered in
-        # tests/core/test_adaptive_monitor.py).
-        monkeypatch.delenv("REPRO_MONITOR_ADAPTIVE", raising=False)
-
     def test_duplicate_boxes_share_one_distribution(self, tiny_system):
         image = tiny_system.test_samples[0].image
         box = Box(18, 20, 10, 10)

@@ -33,14 +33,18 @@ DEPTH_MAXNORM_REL = 16 * 1e-5
 OOD_PRESETS = ("sunset_ood", "night_ood", "fog_ood")
 CAMPAIGN_PRESETS = ("nav_comm_loss_delivery", "sunset_nav_loss")
 BATCHING = ("exact", "joint", "shared")
+#: Monitor geometry per case: the system's own (``default``), and the
+#: shared-context certification geometry (``merged``), whose wider,
+#: edge-clipped and merged crop windows reach other conv block shapes.
+GEOMETRY = {"default": {},
+            "merged": {"context_margin_px": 9, "overlap_budget": 1.3}}
 
 
 @pytest.fixture(autouse=True)
 def _explicit_modes(monkeypatch):
-    """Each test names its monitor mode; the process-default toggles
-    (set by the check.sh rerun stages) must not rewrite it."""
+    """Each test names its monitor mode; the process-default toggle
+    (set by the check.sh rerun stage) must not rewrite it."""
     monkeypatch.delenv("REPRO_MONITOR_SHARED", raising=False)
-    monkeypatch.delenv("REPRO_MONITOR_ADAPTIVE", raising=False)
 
 
 def _training_forward(x, weight, bias, stride=1, padding=0, dilation=1,
@@ -95,10 +99,10 @@ def _episode_fingerprint(result):
     )
 
 
-def _scheduler(system, batching, adaptive):
+def _scheduler(system, batching, geometry):
     config = system.pipeline_config()
     config = replace(config, monitor=replace(config.monitor,
-                                             adaptive=adaptive))
+                                             **GEOMETRY[geometry]))
     return EpisodeScheduler(system.model, config,
                             engine=EngineConfig(monitor_batching=batching),
                             rng=0)
@@ -169,25 +173,27 @@ class TestDecisionVerdictGate:
             assert _episode_fingerprint(a) == _episode_fingerprint(b)
             assert np.array_equal(a.predicted_labels, b.predicted_labels)
 
-    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRY))
     @pytest.mark.parametrize("batching", BATCHING)
     def test_episode_scheduler_identical(self, tiny_system, batching,
-                                         adaptive):
+                                         geometry):
         images = _images(tiny_system, 4)
         infer, ref = _both_paths(
-            lambda: _scheduler(tiny_system, batching, adaptive)
+            lambda: _scheduler(tiny_system, batching, geometry)
             .run_frames(images, seed=3))
         for a, b in zip(infer, ref, strict=True):
             assert _episode_fingerprint(a) == _episode_fingerprint(b)
 
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRY))
     @pytest.mark.parametrize("batching", BATCHING)
-    def test_check_zones_wave_identical(self, tiny_system, batching):
+    def test_check_zones_wave_identical(self, tiny_system, batching,
+                                        geometry):
         """The serving entry point: one wave of zone checks over several
         frames gives the same verdicts on both conv paths."""
         items = [(image, box) for image in _images(tiny_system, 3)
                  for box in _zone_boxes(image)]
         infer, ref = _both_paths(
-            lambda: _scheduler(tiny_system, batching, False)
+            lambda: _scheduler(tiny_system, batching, geometry)
             .check_zones_wave(items))
         assert [_verdict_fingerprint(v) for v in infer] == \
             [_verdict_fingerprint(v) for v in ref]

@@ -100,22 +100,21 @@ class TestBorderBoxes:
         inside = Box(0, 0, 8, 8)
         outside = (Box(-10, -10, h + 20, w + 20), Box(-6, -6, 12, 12),
                    Box(h - 6, w - 8, 12, 12), Box(0, w, 4, 4))
-        for adaptive in (False, True):
-            cfg = MonitorConfig(num_samples=2, adaptive=adaptive)
-            monitor = RuntimeMonitor(segmenter, cfg)
-            scheduler = EpisodeScheduler(tiny_system.model,
-                                         PipelineConfig(monitor=cfg))
-            for box in outside:
+        cfg = MonitorConfig(num_samples=2)
+        monitor = RuntimeMonitor(segmenter, cfg)
+        scheduler = EpisodeScheduler(tiny_system.model,
+                                     PipelineConfig(monitor=cfg))
+        for box in outside:
+            with pytest.raises(ValueError, match="not inside"):
+                monitor.check_zone(image, box)
+            for joint, shared in ((False, False), (True, False),
+                                  (True, True)):
                 with pytest.raises(ValueError, match="not inside"):
-                    monitor.check_zone(image, box)
-                for joint, shared in ((False, False), (True, False),
-                                      (True, True)):
-                    with pytest.raises(ValueError, match="not inside"):
-                        monitor.check_zones(image, [inside, box],
-                                            joint=joint, shared=shared)
-                with pytest.raises(ValueError, match="not inside"):
-                    scheduler.check_zones_wave([(image, inside),
-                                                (image, box)])
+                    monitor.check_zones(image, [inside, box],
+                                        joint=joint, shared=shared)
+            with pytest.raises(ValueError, match="not inside"):
+                scheduler.check_zones_wave([(image, inside),
+                                            (image, box)])
         # A box flush with the frame edges is inside.
         assert monitor.check_zone(image, Box(0, 0, h, w)) \
             .unsafe_mask.shape == (h, w)

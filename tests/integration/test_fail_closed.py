@@ -1,13 +1,13 @@
 """The runtime monitor fails closed on non-finite frames.
 
 A frame whose pixels are all NaN, all +inf or all -inf drives every
-Bayesian moment to NaN.  Eq. (2) is written ``~(upper <= tau)`` (and so
-are the three bound tests of the adaptive stopping rule), so a NaN
-statistic is unsafe: every zone check rejects with
+Bayesian moment to NaN.  Eq. (2) is written ``~(upper <= tau)``, so a
+NaN statistic is unsafe: every zone check rejects with
 ``unsafe_fraction == 1.0`` and no episode lands — on the single-frame
 pipeline, through ``EpisodeScheduler.run_frames`` and through the
 serving entry point ``check_zones_wave``, for every monitor batching
-mode with adaptive early exit on and off.
+mode, at the system's own crop geometry and at a wide-context geometry
+whose crops clip at the frame edges and merge into shared windows.
 """
 
 from dataclasses import replace
@@ -20,14 +20,19 @@ from repro.utils.geometry import Box
 
 BAD_VALUES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
 BATCHING = ("exact", "joint", "shared")
+#: Monitor geometry per case: the system's own (``default``), and the
+#: shared-context certification geometry (``merged``), whose context
+#: margin clips the crops at the frame edges and whose overlap budget
+#: merges the overlapping zone crops into shared union windows.
+GEOMETRY = {"default": {},
+            "merged": {"context_margin_px": 9, "overlap_budget": 1.3}}
 
 
 @pytest.fixture(autouse=True)
 def _explicit_modes(monkeypatch):
-    """Each test names its mode; the process-default toggles (set by
-    the check.sh rerun stages) must not rewrite it."""
+    """Each test names its mode; the process-default toggle (set by
+    the check.sh rerun stage) must not rewrite it."""
     monkeypatch.delenv("REPRO_MONITOR_SHARED", raising=False)
-    monkeypatch.delenv("REPRO_MONITOR_ADAPTIVE", raising=False)
 
 
 @pytest.fixture(params=sorted(BAD_VALUES))
@@ -36,10 +41,15 @@ def bad_frame(request, tiny_system):
     return np.full((3, h, w), BAD_VALUES[request.param], dtype=np.float32)
 
 
-def _config(system, adaptive):
+@pytest.fixture(params=sorted(GEOMETRY))
+def geometry(request):
+    return request.param
+
+
+def _config(system, geometry):
     config = system.pipeline_config()
     return replace(config, monitor=replace(config.monitor,
-                                           adaptive=adaptive))
+                                           **GEOMETRY[geometry]))
 
 
 def _zone_boxes(frame):
@@ -60,31 +70,39 @@ def _assert_never_landed(result):
         _assert_rejected(verdict)
 
 
-def _pipeline(system, adaptive):
-    return LandingPipeline(system.model, _config(system, adaptive), rng=0)
+def _pipeline(system, geometry):
+    return LandingPipeline(system.model, _config(system, geometry), rng=0)
 
 
-@pytest.mark.parametrize("adaptive", [False, True])
-def test_check_zone_rejects(tiny_system, bad_frame, adaptive):
-    monitor = _pipeline(tiny_system, adaptive).monitor
+def test_merged_geometry_merges_zone_crops(tiny_system):
+    """The ``merged`` cases are not vacuous: the shared planner merges
+    their zone crops into fewer union windows than zones."""
+    monitor = _pipeline(tiny_system, "merged").monitor
+    h, w = tiny_system.config.dataset.image_shape
+    frame = np.zeros((3, h, w), dtype=np.float32)
+    boxes = _zone_boxes(frame)
+    crops = [monitor._padded_spans(frame, box)[0] for box in boxes]
+    assert len(monitor.plan_union_windows((h, w), crops)) < len(boxes)
+
+
+def test_check_zone_rejects(tiny_system, bad_frame, geometry):
+    monitor = _pipeline(tiny_system, geometry).monitor
     for box in _zone_boxes(bad_frame):
         with np.errstate(invalid="ignore", over="ignore"):
             _assert_rejected(monitor.check_zone(bad_frame, box))
 
 
-@pytest.mark.parametrize("adaptive", [False, True])
-def test_pipeline_run_does_not_land(tiny_system, bad_frame, adaptive):
+def test_pipeline_run_does_not_land(tiny_system, bad_frame, geometry):
     with np.errstate(invalid="ignore", over="ignore"):
-        result = _pipeline(tiny_system, adaptive).run(bad_frame)
+        result = _pipeline(tiny_system, geometry).run(bad_frame)
     _assert_never_landed(result)
 
 
-@pytest.mark.parametrize("adaptive", [False, True])
 @pytest.mark.parametrize("batching", BATCHING)
 def test_run_frames_never_lands(tiny_system, bad_frame, batching,
-                                adaptive):
+                                geometry):
     scheduler = EpisodeScheduler(
-        tiny_system.model, _config(tiny_system, adaptive),
+        tiny_system.model, _config(tiny_system, geometry),
         engine=EngineConfig(monitor_batching=batching), rng=0)
     with np.errstate(invalid="ignore", over="ignore"):
         results = scheduler.run_frames([bad_frame, bad_frame], seed=0)
@@ -93,12 +111,11 @@ def test_run_frames_never_lands(tiny_system, bad_frame, batching,
         _assert_never_landed(result)
 
 
-@pytest.mark.parametrize("adaptive", [False, True])
 @pytest.mark.parametrize("batching", BATCHING)
 def test_check_zones_wave_rejects(tiny_system, bad_frame, batching,
-                                  adaptive):
+                                  geometry):
     scheduler = EpisodeScheduler(
-        tiny_system.model, _config(tiny_system, adaptive),
+        tiny_system.model, _config(tiny_system, geometry),
         engine=EngineConfig(monitor_batching=batching), rng=0)
     items = [(bad_frame, box) for box in _zone_boxes(bad_frame)]
     with np.errstate(invalid="ignore", over="ignore"):

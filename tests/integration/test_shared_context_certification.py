@@ -182,15 +182,11 @@ class TestMomentEnvelope:
 # ----------------------------------------------------------------------
 class TestFig4Gate:
     def test_full_frame_unsafe_identical_through_shared_planner(
-            self, tiny_system, monkeypatch):
+            self, tiny_system):
         """The full-frame Eq. (2) mask — the Fig. 4 measurement — is
         bit-for-bit identical whether it runs through the classic
         full-frame pass or the shared-context planner (one box, one
-        window, no merge).  The identity is a property of the *shared*
-        stream: adaptive early exit truncates it by design (its own
-        certification lives in test_adaptive_certification.py), so the
-        toggle is cleared here."""
-        monkeypatch.delenv("REPRO_MONITOR_ADAPTIVE", raising=False)
+        window, no merge)."""
         cfg = _cert_monitor_config(tiny_system)
         for sample in tiny_system.test_samples[:4]:
             image = sample.image

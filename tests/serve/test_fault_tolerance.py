@@ -202,7 +202,7 @@ class TestDeadlines:
             assert pool._ring.in_flight == 0
             # The respawned worker (incarnation 1: no fault) serves.
             pool.submit(1, frame, ensure_rng(0).bit_generator.state)
-            ((index, result, _, _),) = pool.collect(1, deadline_s=5.0)
+            ((index, result, _),) = pool.collect(1, deadline_s=5.0)
             assert index == 1
             _assert_results_equal(result, expected)
 
@@ -288,7 +288,7 @@ class TestCorruptTicket:
             assert pool._ring.in_flight == 0  # no leaked slot
             assert pool.stats["worker_deaths"] == 0  # worker survived
             pool.submit(1, frame, ensure_rng(0).bit_generator.state)
-            ((_, result, _, _),) = pool.collect(1)
+            ((_, result, _),) = pool.collect(1)
             _assert_results_equal(result, expected)
 
 

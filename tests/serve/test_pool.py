@@ -1,8 +1,8 @@
 """Persistent worker pool + shared-memory ring: lifecycle and parity.
 
 The regression targets from the fork-per-call pool this replaced:
-a module-global model reference that survived runs, no deterministic
-close/join, and monitor stats silently lost in the workers.
+a module-global model reference that survived runs, and no
+deterministic close/join.
 """
 
 import copy
@@ -122,11 +122,9 @@ class TestPersistentWorkerPool:
                 for i, ep in enumerate(episodes):
                     pool.submit(i, ep.frames[t],
                                 rngs[i].bit_generator.state)
-                for i, result, state, stats in pool.collect(
-                        len(episodes)):
+                for i, result, state in pool.collect(len(episodes)):
                     rngs[i].bit_generator.state = state
                     _assert_results_equal(result, inline[i][t])
-                    assert isinstance(stats, dict)
 
     def test_worker_error_propagates(self, tiny_system):
         config = tiny_system.pipeline_config()
@@ -261,34 +259,3 @@ class TestSchedulerLifecycle:
         assert sched.effective_workers == 3
         sched.close()
 
-
-class TestWorkerStats:
-    def test_adaptive_stats_round_trip_matches_inline(self, tiny_system):
-        """Regression: the old pool lost all monitor stats.  Sharded
-        totals must equal the inline aggregates (order-independent
-        sums), whatever the worker count."""
-        from dataclasses import replace
-
-        config = tiny_system.pipeline_config()
-        config = replace(config,
-                         monitor=replace(config.monitor, adaptive=True))
-        episodes = _episodes(tiny_system, num=2, frames=2)
-        inline = EpisodeScheduler(tiny_system.model, config)
-        inline.run(episodes)
-        assert inline.last_adaptive_stats["windows"] > 0
-        with EpisodeScheduler(tiny_system.model, config,
-                              engine=EngineConfig(workers=2)) as sharded:
-            sharded.run(episodes)
-            assert sharded.last_adaptive_stats == \
-                inline.last_adaptive_stats
-
-    def test_non_adaptive_stats_stay_empty_everywhere(self, tiny_system):
-        config = tiny_system.pipeline_config()
-        episodes = _episodes(tiny_system, frames=1)
-        inline = EpisodeScheduler(tiny_system.model, config)
-        inline.run(episodes)
-        with EpisodeScheduler(tiny_system.model, config,
-                              engine=EngineConfig(workers=2)) as sharded:
-            sharded.run(episodes)
-            assert sharded.last_adaptive_stats == \
-                inline.last_adaptive_stats
