@@ -12,6 +12,8 @@ import platform
 import time
 from pathlib import Path
 
+from perfbench.host import blas_info
+
 BENCH_DIR = Path(__file__).resolve().parent
 SMOKE_DIR = BENCH_DIR / ".smoke"
 
@@ -27,9 +29,14 @@ SCHEMA_VERSION = 2
 
 
 def host_fingerprint() -> dict:
-    """A small, stable description of the measuring host."""
+    """A small, stable description of the measuring host.
+
+    ``blas_threads`` is the BLAS thread count the numbers ran with
+    (0 when numpy's BLAS does not report it).
+    """
     return {
         "cpu_count": os.cpu_count(),
+        "blas_threads": blas_info()[0],
         "machine": platform.machine(),
         "system": platform.system(),
         "python": platform.python_version(),

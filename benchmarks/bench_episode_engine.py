@@ -14,14 +14,6 @@ Measured modes:
 * **joint** — additionally verifies the pending zone checks of all
   episodes in jointly seeded stacked Bayesian passes (the headline
   multi-episode throughput number, gated).
-* **workers=2** — whole episode frames sharded over the persistent
-  fork-worker pool (``repro.serve.pool``, fork once + shared-memory
-  frames — timed at steady state, one scheduler per bench); must
-  be bit-for-bit identical to the sequential loop on any worker count
-  (asserted, gated).  A second *scaling* row runs ``workers=N`` with
-  ``N`` matched to the host's core count; its speedup tracks the cores
-  by design, so the regression gate only gates it on multi-core hosts
-  (``min_cores`` baseline spec in ``smoke_baselines.json``).
 * **shared vs joint** — a second, overlap-heavy fleet (the
   ``dense_zones_*`` presets, monitor crops sized to the conservative
   drift buffer per Fig. 2) compares ``monitor_batching="shared"`` —
@@ -166,35 +158,25 @@ def _measure_modes(model, config, episodes):
 
     import time
 
-    # One persistent sharded scheduler for the whole measurement: the
-    # workers row times the steady-state pool (fork once, reuse every
-    # run), which is the serving regime — not the fork-per-call cost
-    # the persistent pool was built to remove.
-    with EpisodeScheduler(model, config,
-                          engine=EngineConfig(workers=2)) as sharded:
-        workers_ok = _episodes_equal(sharded.run(episodes), reference)
-
-        modes = {
-            "sequential": lambda: _sequential(model, config, episodes),
-            "exact": lambda: EpisodeScheduler(model, config).run(
-                episodes),
-            "joint": lambda: EpisodeScheduler(
-                model, config,
-                engine=EngineConfig(monitor_batching="joint"),
-                rng=0).run(episodes),
-            "workers2": lambda: sharded.run(episodes),
-        }
-        times = {}
+    modes = {
+        "sequential": lambda: _sequential(model, config, episodes),
+        "exact": lambda: EpisodeScheduler(model, config).run(episodes),
+        "joint": lambda: EpisodeScheduler(
+            model, config,
+            engine=EngineConfig(monitor_batching="joint"),
+            rng=0).run(episodes),
+    }
+    times = {}
+    for name, fn in modes.items():
+        fn()  # warm-up
+        times[name] = float("inf")
+    for _ in range(REPEATS):
         for name, fn in modes.items():
-            fn()  # warm-up
-            times[name] = float("inf")
-        for _ in range(REPEATS):
-            for name, fn in modes.items():
-                start = time.perf_counter()
-                fn()
-                times[name] = min(times[name],
-                                  time.perf_counter() - start)
-    return times, checks, exact_ok, workers_ok
+            start = time.perf_counter()
+            fn()
+            times[name] = min(times[name],
+                              time.perf_counter() - start)
+    return times, checks, exact_ok
 
 
 def _decision_fingerprint(result):
@@ -210,29 +192,6 @@ def _monitor_pass_s(out) -> float:
     """Total wall time inside stacked monitor passes for a run."""
     return sum(r.timings_s["monitoring_s"]
                for ep in out for r in ep.results)
-
-
-def _measure_workers_scaling(model, config, episodes, seq: float):
-    """The ``workers=N`` scaling row, N matched to the host cores.
-
-    The speedup tracks the core count by design: ~0.6x on a 1-core
-    host (fork/IPC overhead with no parallelism to buy back), scaling
-    with cores elsewhere — which is why ``smoke_baselines.json`` gates
-    it behind a ``min_cores`` spec instead of unconditionally.
-    """
-    import time
-
-    n = max(2, os.cpu_count() or 1)
-    best = float("inf")
-    with EpisodeScheduler(model, config,
-                          engine=EngineConfig(workers=n)) as sched:
-        sched.run(episodes)  # warm-up (forks the persistent pool)
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            sched.run(episodes)
-            best = min(best, time.perf_counter() - start)
-    return {"workers": n, "t_ms": round(best * 1e3, 3),
-            "speedup": round(seq / best, 3)}
 
 
 def _measure_dense_shared(model, config, episodes):
@@ -288,7 +247,7 @@ def _measure_dense_shared(model, config, episodes):
 def test_episode_engine_throughput(system, emit):
     episodes, config = _fleet(system, STREAM_SHAPE)
     frames = sum(len(ep.frames) for ep in episodes)
-    times, checks, exact_ok, workers_ok = _measure_modes(
+    times, checks, exact_ok = _measure_modes(
         system.model, config, episodes)
     seq = times["sequential"]
 
@@ -301,18 +260,10 @@ def test_episode_engine_throughput(system, emit):
         "t_sequential_ms": round(seq * 1e3, 3),
         "t_exact_ms": round(times["exact"] * 1e3, 3),
         "t_joint_ms": round(times["joint"] * 1e3, 3),
-        "t_workers2_ms": round(times["workers2"] * 1e3, 3),
         "speedup_exact": round(seq / times["exact"], 3),
         "speedup_joint": round(seq / times["joint"], 3),
-        "speedup_workers2": round(seq / times["workers2"], 3),
         "exact_bit_for_bit": bool(exact_ok),
-        "workers_bit_for_bit": bool(workers_ok),
     }
-
-    summary["workers_scaling"] = _measure_workers_scaling(
-        system.model, config, episodes, seq)
-    summary["speedup_workers_scaled"] = \
-        summary["workers_scaling"]["speedup"]
 
     # ------------------------------------------------------------------
     # Shared-context engine on the overlap-heavy fleet
@@ -344,7 +295,7 @@ def test_episode_engine_throughput(system, emit):
         # fleet above is the gated workload).
         shape = system.config.dataset.image_shape
         episodes_ff, config_ff = _fleet(system, shape)
-        times_ff, checks_ff, _, _ = _measure_modes(
+        times_ff, checks_ff, _ = _measure_modes(
             system.model, config_ff, episodes_ff)
         summary["full_frame"] = {
             "shape": list(shape),
@@ -369,12 +320,7 @@ def test_episode_engine_throughput(system, emit):
               f"{FRAMES_PER_STREAM} frames at "
               f"{STREAM_SHAPE[0]}x{STREAM_SHAPE[1]} "
               f"({checks} monitor checks):"))
-    emit(f"\nexact bit-for-bit vs sequential loop: {exact_ok}; "
-         f"workers=2 bit-for-bit: {workers_ok}")
-    ws = summary["workers_scaling"]
-    emit(f"workers={ws['workers']} scaling row: {ws['speedup']:.2f}x "
-         f"on {summary['cpu_count']}-core host (tracks cores; gated "
-         "only on multi-core hosts)")
+    emit(f"\nexact bit-for-bit vs sequential loop: {exact_ok}")
     dense = summary["dense"]
     emit(f"dense fleet ({dense['episodes']} overlap-heavy streams, "
          f"k={dense['speculative_k']}, crop margin "
@@ -397,10 +343,9 @@ def test_episode_engine_throughput(system, emit):
              f"{ff['t_joint_ms']:.0f} ms)")
     emit(f"summary -> {out}")
 
-    # Hard contracts: the exact engine and the sharded engine ARE the
-    # sequential loop, and the shared engine is seeded-reproducible.
+    # Hard contracts: the exact engine IS the sequential loop, and the
+    # shared engine is seeded-reproducible.
     assert exact_ok, "exact engine diverged from the sequential loop"
-    assert workers_ok, "worker sharding diverged from the sequential loop"
     assert summary["shared_seeded_reproducible"], (
         "shared-context engine is not seeded-reproducible")
     # The joint engine must actually pay off on the fleet workload;

@@ -16,9 +16,9 @@ A baseline value may also be a spec object ``{"baseline": <number>,
 "min_cores": <n>}``: the metric is then gated only on hosts with at
 least ``min_cores`` CPU cores (read from the summary's ``host``
 fingerprint, falling back to the local ``os.cpu_count()``) and
-reported as *skipped* elsewhere.  This is how worker-scaling ratios —
-which track the host's core count by design — are gated on multi-core
-hosts without flaking the 1-core CI box.
+reported as *skipped* elsewhere.  This is how raw serve throughput
+(``serve_throughput_cps``), which moves with the host's core count, is
+gated on multi-core hosts without flaking the 1-core CI box.
 
 Baselines are updated deliberately in the PR that changes a
 performance characteristic — never to quiet a failing gate.

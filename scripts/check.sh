@@ -14,8 +14,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== static analysis (repro-lint, strict) =="
 # First stage by design: the AST linter fails in seconds on a
 # certification-contract violation (global-state RNG, float64 on the
-# inference path, stray environment reads or writes, fork-task global
-# writes, undocumented knobs) before any test runs.
+# inference path, stray environment reads or writes, undocumented
+# knobs, a fail-open monitor threshold) before any test runs.
 python -m repro.analysis --strict
 
 echo
@@ -45,15 +45,13 @@ for rerun in "${MODE_RERUNS[@]}"; do
     echo
 done
 
-echo "== serving self-check + fault drill (repro.serve doctor) =="
+echo "== serving self-check (repro.serve doctor) =="
 # The doctor exercises the serving stack end to end on the tiny
-# trained system: fork availability, shared-memory frame round trip,
-# broker admission/drain, typed overload shedding, and the fault
-# drill — a worker is SIGKILLed mid-wave (supervision must respawn it
-# and recover bit-for-bit) and a respawn-exhausted pool must degrade
-# onto the inline path through the circuit breaker with the ledger
-# balanced.  It exits 1 on any failed check, so a broken serving or
-# recovery path dies here before the bench pass.
+# trained system: a live broker serves zone checks and an episode
+# step, sheds an out-of-frame box as a typed invalid request, drains
+# on stop, and sheds an overload burst with typed rejections and a
+# balanced ledger.  It exits 1 on any failed check, so a broken
+# serving path dies here before the bench pass.
 python -m repro.serve.doctor --system tiny
 
 echo

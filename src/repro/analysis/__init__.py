@@ -5,11 +5,11 @@ bit-for-bit seeded equivalence (PRs 1-3), a pinned fp32 moment envelope
 and zero Fig. 4 / safety-book flips (PRs 5 and 7).  Those contracts
 are guarded at runtime by the test matrix, but a single stray
 ``np.random.seed``, a silent float64 promotion past the
-``Module.__call__`` firewall, or a module-global cache mutated inside
-a ``workers=N`` fork task can invalidate them in ways the seeded tests
-may not sample.  This package is the diff-time gate: a self-contained
-AST-based invariant linter (stdlib :mod:`ast` only, no third-party
-dependencies) run by ``scripts/check.sh`` as its first stage::
+``Module.__call__`` firewall, or a stray environment read can
+invalidate them in ways the seeded tests may not sample.  This package
+is the diff-time gate: a self-contained AST-based invariant linter
+(stdlib :mod:`ast` only, no third-party dependencies) run by
+``scripts/check.sh`` as its first stage::
 
     PYTHONPATH=src python -m repro.analysis --strict
 
@@ -22,12 +22,8 @@ Shipped rules (``python -m repro.analysis --list-rules``):
   float64-introducing patterns in the inference-path packages, with a
   documented allowlist for the deliberate float64 islands.
 * **Engine-mode hygiene** (:mod:`repro.analysis.checkers.engine_mode`)
-  — environment toggles (``REPRO_MONITOR_SHARED``,
-  ``REPRO_SERVE_WORKERS``, ...) are read only at their sanctioned
-  sites and never mutated directly.
-* **Fork-pool purity** (:mod:`repro.analysis.checkers.fork_purity`) —
-  functions dispatched to ``EpisodeScheduler``'s fork pool must not
-  write module-level state.
+  — environment toggles (``REPRO_MONITOR_SHARED``, ...) are read
+  only at their sanctioned sites and never mutated directly.
 * **Knob-surface drift** (:mod:`repro.analysis.checkers.knobs`) —
   every ``EngineConfig``/``MonitorConfig``/``DecisionConfig`` field is
   documented in its class docstring and the README.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.analysis.checkers.engine_mode import EngineModeChecker
-from repro.analysis.checkers.fork_purity import ForkPurityChecker
 from repro.analysis.checkers.fp32 import Fp32FirewallChecker
 from repro.analysis.checkers.knobs import KnobSurfaceChecker
 from repro.analysis.checkers.monitor_rule import MonitorRuleChecker
@@ -13,7 +12,6 @@ from repro.analysis.checkers.rng import RngDisciplineChecker
 #: findings; keep alphabetical by invariant name.
 CHECKER_CLASSES = (
     EngineModeChecker,
-    ForkPurityChecker,
     Fp32FirewallChecker,
     KnobSurfaceChecker,
     MonitorRuleChecker,
@@ -23,7 +21,6 @@ CHECKER_CLASSES = (
 __all__ = [
     "CHECKER_CLASSES",
     "EngineModeChecker",
-    "ForkPurityChecker",
     "Fp32FirewallChecker",
     "KnobSurfaceChecker",
     "MonitorRuleChecker",

@@ -1,20 +1,13 @@
 """Engine-mode hygiene: environment toggles stay at their sanctioned sites.
 
-Two environment variables (``REPRO_MONITOR_SHARED``,
-``REPRO_SERVE_WORKERS``) reroute whole engine families at run time —
-that is how ``scripts/check.sh`` re-runs the tier-1 suites under the
-shared-context engine.  ``REPRO_MONITOR_SHARED`` is sanctioned because
-the certification rerun needs a process-default switch that flips
-*every* joint monitoring call without editing each ``MonitorConfig``,
-and the read lives at the single documented site in
+One environment variable (``REPRO_MONITOR_SHARED``) reroutes a whole
+engine family at run time — that is how ``scripts/check.sh`` re-runs
+the tier-1 suites under the shared-context engine.  It is sanctioned
+because the certification rerun needs a process-default switch that
+flips *every* joint monitoring call without editing each
+``MonitorConfig``, and the read lives at the single documented site in
 ``core/monitor.py`` (``shared_context_default``), consulted per call
-so tests can monkeypatch it.  ``REPRO_SERVE_WORKERS`` is sanctioned as
-the serving layer's deployment-time sizing toggle: the broker process
-is launched by an operator, not constructed in code, so the worker
-count needs a process default — the read lives at the single
-documented site in ``serve/broker.py`` (``serve_workers_default``),
-consulted only when ``ServeConfig.workers`` is unset so explicit
-configuration always wins.  The flip side: a test or bench that sets
+so tests can monkeypatch it.  The flip side: a test or bench that sets
 a toggle and fails to restore it silently changes what every *later*
 test measures, and an ``os.environ`` read scattered outside the
 sanctioned sites turns the environment into an undocumented knob
@@ -25,9 +18,8 @@ Two rules:
 * ``ENG-ENV-READ`` — inside ``src/repro``, ``os.environ``/
   ``os.getenv`` may only be consulted at the sanctioned sites (the
   shared-context toggle in ``core/monitor.py``, the trained-system
-  cache root in ``eval/harness.py``, the strict-seed switch in
-  ``utils/rng.py``, and the serve worker-count default in
-  ``serve/broker.py``).
+  cache root in ``eval/harness.py`` and the strict-seed switch in
+  ``utils/rng.py``).
 * ``ENG-ENV-WRITE`` — nobody mutates ``os.environ`` directly; tests
   use ``monkeypatch.setenv`` (auto-restoring) and subprocesses get an
   explicit ``env=`` mapping.
@@ -49,8 +41,6 @@ SANCTIONED_ENV_READERS = frozenset({
     "src/repro/core/monitor.py",    # REPRO_MONITOR_SHARED toggle
     "src/repro/eval/harness.py",    # REPRO_CACHE weight-cache root
     "src/repro/utils/rng.py",       # REPRO_REQUIRE_SEED strict mode
-    "src/repro/serve/broker.py",    # REPRO_SERVE_WORKERS sizing
-                                    # default (serve_workers_default)
 })
 
 _ENV_MUTATORS = frozenset({"update", "setdefault", "pop", "clear",

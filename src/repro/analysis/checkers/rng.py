@@ -1,7 +1,7 @@
 """RNG discipline: every random draw comes from a seeded Generator.
 
-The bit-for-bit contracts of PRs 1-3 (batched == sequential, any
-worker count == inline, engine == per-episode pipelines) hold because
+The bit-for-bit contracts of PRs 1-3 (batched == sequential,
+engine == per-episode pipelines) hold because
 every stochastic component threads an explicit seeded
 :class:`numpy.random.Generator` — coerced once by
 :func:`repro.utils.rng.ensure_rng`, split with

@@ -13,24 +13,10 @@ stages with cross-episode batching:
   Convolution and friends are batch-element-deterministic, so
   per-frame labels are bit-for-bit those of single-frame calls.
 * **Monitoring** defaults to ``exact`` mode: each episode keeps its own
-  seeded monitor RNG stream and its checks run in frame order, so with
-  ``workers=1`` the engine's results are bit-for-bit identical to
-  calling ``LandingPipeline.run`` frame by frame per episode (tested in
+  seeded monitor RNG stream and its checks run in frame order, so the
+  engine's results are bit-for-bit identical to calling
+  ``LandingPipeline.run`` frame by frame per episode (tested in
   ``tests/core/test_episode_engine.py``).
-* **Frame sharding** (``workers > 1``): whole episode frames of ready
-  episodes are sharded over a **persistent** fork-worker pool
-  (:class:`repro.serve.pool.PersistentWorkerPool`): workers fork once
-  per scheduler and are reused across runs, the model ships once
-  (inherited copy-on-write at fork), and frames cross the process
-  boundary through shared memory as zero-copy views — no per-call
-  fork, no per-task model pickle.  Each task still carries its
-  episode's RNG state explicitly, so results remain identical to
-  ``workers=1`` regardless of worker count or scheduling.
-  :meth:`EpisodeScheduler.close` (or using the scheduler as a context
-  manager) shuts the pool down
-  deterministically; :attr:`EpisodeScheduler.effective_workers`
-  reports the degree actually in use (1 where ``fork`` is
-  unavailable).
 * **Joint monitor batching** (``monitor_batching="joint"``): the
   pending zone checks of *all* ready episodes are stride-padded to a
   common shape and verified in jointly seeded stacked Bayesian passes
@@ -71,8 +57,6 @@ always runs :func:`repro.nn.functional.conv2d_infer`'s blocked im2col.
 from __future__ import annotations
 
 import time
-import warnings
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,37 +122,6 @@ class EngineConfig:
         amortise per-forward overhead in big chunks, while full frames
         blow the cache beyond 2-3 per chunk (measured; chunking never
         changes labels either way).
-    workers:
-        Persistent fork-worker processes sharding whole episode frames
-        — core segmentation, selection and the per-zone Bayesian
-        checks all run in the worker, so concurrent episodes use every
-        core.  ``1`` (default) runs inline; any value produces
-        identical results because each episode's RNG state travels
-        with its tasks.  Workers fork once per scheduler (model
-        shipped once, frames via shared memory; see
-        :class:`repro.serve.pool.PersistentWorkerPool`) and live until
-        :meth:`EpisodeScheduler.close`.  Requires
-        ``monitor_batching="exact"``.  Where the ``fork`` start method
-        does not exist the scheduler warns and runs inline —
-        :attr:`EpisodeScheduler.effective_workers` reports the real
-        degree.
-    deadline_ms:
-        Per-task deadline (milliseconds, monotonic clock) for the
-        sharded path, measured from pool submission.  ``None``
-        (default) waits forever.  When a task exceeds it, the pool
-        kills the worker holding it (a hung task cannot be cancelled),
-        respawns a replacement and the wave raises a typed
-        :class:`repro.serve.faults.CheckTimedOut` — a timed-out safety
-        check fails safe, never open.  The serving layer threads
-        ``ServeConfig.deadline_ms`` down into this knob.
-    max_respawns:
-        Supervision budget of the persistent pool: how many worker
-        respawns (after crashes or deadline kills) a pool will perform
-        before giving up with :class:`repro.serve.faults.
-        WorkerPoolError`.  Default 3.  Respawns back off exponentially
-        (capped), and each resubmitted task replays bit-for-bit from
-        its shipped RNG state, so a survived crash never changes
-        results.  ``0`` disables respawning entirely.
     speculative_k:
         Overrides ``DecisionConfig.speculative_k`` when set (ranked
         candidates monitored per joint pass; see
@@ -192,9 +145,6 @@ class EngineConfig:
     monitor_batching: str = "exact"
     joint_max_batch: int = 32
     seg_max_batch: int | None = None
-    workers: int = 1
-    deadline_ms: float | None = None
-    max_respawns: int = 3
     speculative_k: int | None = None
     overlap_budget: float | None = None
     temporal_reuse: bool = True
@@ -204,20 +154,10 @@ class EngineConfig:
         check_positive("joint_max_batch", self.joint_max_batch)
         if self.seg_max_batch is not None:
             check_positive("seg_max_batch", self.seg_max_batch)
-        check_positive("workers", self.workers)
-        if self.deadline_ms is not None:
-            check_positive("deadline_ms", self.deadline_ms)
-        if self.max_respawns < 0:
-            raise ValueError(
-                f"max_respawns must be >= 0, got {self.max_respawns}")
         if self.monitor_batching not in _MONITOR_BATCHING:
             raise ValueError(
                 f"monitor_batching must be one of {_MONITOR_BATCHING}, "
                 f"got {self.monitor_batching!r}")
-        if self.workers > 1 and self.monitor_batching != "exact":
-            raise ValueError(
-                "worker sharding requires monitor_batching='exact' "
-                "(joint/shared batching is a single-process fast path)")
         if self.speculative_k is not None:
             check_positive("speculative_k", self.speculative_k)
         if self.overlap_budget is not None and self.overlap_budget <= 0:
@@ -361,20 +301,6 @@ class EpisodeScheduler:
         #: among them, and temporal stem-cache hits/misses.  Purely
         #: observational (benches and tests read it).
         self.last_shared_stats: dict[str, int] = {}
-        # Persistent fork-worker pool (workers > 1): created lazily on
-        # the first sharded run, reused across runs, shut down by
-        # close(); a weakref finalizer backstops abandoned schedulers.
-        self._pool = None
-        self._pool_finalizer = None
-        self._fork_warned = False
-        # Chaos plans are armed by repro.serve.chaos.arm (tests and
-        # benches only) and ride into the next pool fork; deliberately
-        # not an EngineConfig knob.
-        self._fault_plan = None
-        # Supervision counters of every pool this scheduler has closed
-        # (a broken pool is torn down and replaced, but its deaths and
-        # respawns must stay on the ledger).
-        self.pool_stats_total: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def run(self, episodes) -> list[EpisodeResult]:
@@ -385,32 +311,6 @@ class EpisodeScheduler:
             return []
         results: list[list[PipelineResult]] = [[] for _ in episodes]
         horizon = max(len(ep.frames) for ep in episodes)
-
-        pool = self._ensure_pool() if self.engine.workers > 1 else None
-        if pool is not None:
-            # Whole frames are sharded (segmentation included), so
-            # the parent holds only each episode's monitor RNG and
-            # never pre-segments.  Frames of one episode still
-            # advance one wave at a time: frame t+1's monitor
-            # stream continues frame t's returned RNG state.
-            from repro.serve.faults import WorkerPoolError
-
-            rngs = [ensure_rng(ep.seed) for ep in episodes]
-            try:
-                for t in range(horizon):
-                    ready = [(i, episodes[i].frames[t])
-                             for i in range(len(episodes))
-                             if t < len(episodes[i].frames)]
-                    self._wave_workers(pool, ready, rngs, results)
-            except WorkerPoolError:
-                # The pool is broken past its respawn budget: tear it
-                # down now so the next sharded run forks a fresh one
-                # (callers like the serve broker retry this wave on
-                # the bit-identical inline path meanwhile).
-                self.close()
-                raise
-            return self._collect(episodes, results)
-
         labels, seg_s = self._segment_all(episodes)
         mode = self.engine.effective_monitor_batching()
         if mode == "joint":
@@ -451,9 +351,6 @@ class EpisodeScheduler:
                         pipeline._finish_episode(
                             ep.frames[t], labels[i][t],
                             seg_s[i][t]))
-        return self._collect(episodes, results)
-
-    def _collect(self, episodes, results) -> list[EpisodeResult]:
         return [
             EpisodeResult(name=ep.name or f"episode{i}",
                           results=results[i])
@@ -518,98 +415,7 @@ class EpisodeScheduler:
         return labels, seg_s
 
     # ------------------------------------------------------------------
-    # Stage 2a: worker-sharded monitor/decide (exact semantics)
-    # ------------------------------------------------------------------
-    @property
-    def effective_workers(self) -> int:
-        """Worker processes ``run`` actually uses.
-
-        Equals ``engine.workers`` when sharding is live, and ``1``
-        when the engine is configured inline *or* the platform has no
-        ``fork`` start method — in the latter case a sharded config
-        degrades to inline with a ``RuntimeWarning``, and this
-        property (surfaced by the serve doctor) is how operators tell
-        inline-degraded apart from genuinely sharded.
-        """
-        from repro.serve.pool import fork_available
-
-        if self.engine.workers <= 1 or not fork_available():
-            return 1
-        return self.engine.workers
-
-    def _ensure_pool(self):
-        """The scheduler's persistent worker pool, or None (inline).
-
-        Created once, on the first sharded ``run``, and reused by
-        every later run: workers fork exactly once, inheriting the
-        model copy-on-write — the model is shipped once, never
-        pickled per call.  ``close()`` tears the pool down.
-        """
-        if self._pool is not None:
-            return self._pool
-        if self.effective_workers <= 1:
-            if not self._fork_warned:
-                warnings.warn(
-                    "multiprocessing 'fork' start method unavailable; "
-                    "EpisodeScheduler runs workers=1 inline (see "
-                    "EpisodeScheduler.effective_workers)",
-                    RuntimeWarning, stacklevel=3)
-                self._fork_warned = True
-            return None
-        from repro.serve.pool import PersistentWorkerPool
-
-        self._pool = PersistentWorkerPool(
-            self.model, self.config, self.engine, self.engine.workers,
-            max_respawns=self.engine.max_respawns,
-            fault_plan=self._fault_plan)
-        # Backstop for abandoned schedulers; close() is the real API.
-        self._pool_finalizer = weakref.finalize(
-            self, PersistentWorkerPool.close, self._pool)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the persistent worker pool down deterministically.
-
-        Joins the workers and unlinks the shared-memory frame ring.
-        Idempotent, and the scheduler remains usable — the next
-        sharded ``run`` forks a fresh pool.  The scheduler is also a
-        context manager (``with EpisodeScheduler(...) as sched:``),
-        which calls this on exit.
-        """
-        if self._pool_finalizer is not None:
-            self._pool_finalizer.detach()
-            self._pool_finalizer = None
-        if self._pool is not None:
-            for key, value in self._pool.stats.items():
-                self.pool_stats_total[key] = \
-                    self.pool_stats_total.get(key, 0) + value
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "EpisodeScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _wave_workers(self, pool, ready, rngs, results) -> None:
-        """Shard one wavefront's episode frames over the pool.
-
-        Each task ships its episode's monitor RNG state and receives
-        the advanced state back, so the per-episode streams are
-        exactly those of the inline path.
-        """
-        deadline_s = (None if self.engine.deadline_ms is None
-                      else self.engine.deadline_ms / 1000.0)
-        for i, image in ready:
-            pool.submit(i, image, rngs[i].bit_generator.state)
-        for i, result, state in pool.collect(len(ready),
-                                             deadline_s=deadline_s):
-            rngs[i].bit_generator.state = state
-            results[i].append(result)
-
-    # ------------------------------------------------------------------
-    # Stage 2b: joint cross-episode monitor batching
+    # Stage 2a: joint cross-episode monitor batching
     # ------------------------------------------------------------------
     def _prepare_wave(self, ready) -> tuple[list, int]:
         """Selector/cursor state for one wavefront of ready frames.
@@ -739,6 +545,42 @@ class EpisodeScheduler:
             st.cursor.feed(pairs)
         return pass_s
 
+    def validate_zone(self, image, box: Box, name: str = "image") -> None:
+        """Raise ``ValueError`` unless the joint monitor can check ``box``.
+
+        ``image`` must be a CHW float image whose sides both reach the
+        model's output stride (no stride-aligned crop fits a smaller
+        frame), and ``box`` a non-empty zone inside it.  The one
+        admission test of a zone check: :meth:`check_zones_wave` runs
+        it on every item, and the serve broker sheds a check that fails
+        it before the check can join, and fail, a wave.
+        """
+        check_image_chw(name, image)
+        check_zone_box(image, box)
+        stride = self._joint_monitor._model_stride()
+        h, w = np.shape(image)[-2:]
+        if min(h, w) < stride:
+            raise ValueError(
+                f"{name} is {h}x{w}, smaller than the model's output "
+                f"stride {stride}")
+
+    def validate_episode(self, request: EpisodeRequest) -> None:
+        """Raise ``ValueError`` unless core segmentation can run ``request``.
+
+        Every frame's sides must be positive multiples of the model's
+        output stride (``EpisodeRequest`` has already checked that the
+        frames are CHW float images).  The serve broker sheds an
+        episode that fails this before it can join, and fail, a wave.
+        """
+        stride = self._joint_monitor._model_stride()
+        for k, frame in enumerate(request.frames):
+            h, w = np.shape(frame)[-2:]
+            if h % stride or w % stride or min(h, w) < stride:
+                raise ValueError(
+                    f"frames[{k}] is {h}x{w}; core segmentation needs "
+                    f"sides that are positive multiples of the model's "
+                    f"output stride {stride}")
+
     def check_zones_wave(self, items) -> list:
         """Verdicts for one admitted wave of ``(image, box)`` checks.
 
@@ -755,15 +597,14 @@ class EpisodeScheduler:
         Draws from the scheduler's *joint* RNG stream (like
         ``monitor_batching="joint"``): seeded and reproducible for a
         fixed wave sequence, independent of the engine's
-        ``monitor_batching`` knob.  Raises
-        ``ValueError`` for a malformed image or a box that is empty or
-        leaves its frame (the serve broker sheds those at admission).
+        ``monitor_batching`` knob.  Raises ``ValueError`` for any item
+        :meth:`validate_zone` refuses (the serve broker sheds those at
+        admission).
         """
         if not items:
             return []
         for k, (image, box) in enumerate(items):
-            check_image_chw(f"items[{k}]", image)
-            check_zone_box(image, box)
+            self.validate_zone(image, box, name=f"items[{k}]")
         monitor = self._joint_monitor
         cfg = self.config.monitor
         verdicts: list = [None] * len(items)
@@ -792,7 +633,7 @@ class EpisodeScheduler:
         return verdicts
 
     # ------------------------------------------------------------------
-    # Stage 2c: shared-context monitoring (union windows + stem reuse)
+    # Stage 2b: shared-context monitoring (union windows + stem reuse)
     # ------------------------------------------------------------------
     def _wave_shared(self, ready, results, episodes, caches) -> None:
         """Monitor/decide one frame wavefront via union-window passes.

@@ -21,10 +21,10 @@ module's own bookkeeping around them).
 episode engine: multi-episode workloads run through
 :class:`repro.core.engine.EpisodeScheduler`, which drives these same
 stage implementations (``_finish_episode`` and the decision cursor)
-across many concurrent frame streams with cross-episode batching and
-optional worker sharding.  The engine's performance knobs live in one
-place, :class:`repro.core.engine.EngineConfig`, which can be handed to
-this class via ``engine=``.  A multi-frame episode with one batched
+across many concurrent frame streams with cross-episode batching.
+The engine's performance knobs live in one place,
+:class:`repro.core.engine.EngineConfig`, which can be handed to this
+class via ``engine=``.  A multi-frame episode with one batched
 core segmentation is ``EpisodeScheduler.run_frames``, which reproduces
 a per-frame :meth:`LandingPipeline.run` loop bit for bit (same seeded
 monitor stream).

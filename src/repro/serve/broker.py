@@ -16,50 +16,34 @@ bounded (``ServeConfig.queue_depth``); a request that arrives while
 the queue is full is shed immediately with :class:`AdmissionRejected`
 (``reason="queue_full"``), and a request after shutdown began gets
 ``reason="shutdown"``.  A zone check whose image is not a CHW float
-image, or whose box is empty or leaves the frame, is shed before
-admission with ``reason="invalid"``, so it never joins a wave and
-cannot fail the requests batched with it.  A safety check is never
-silently dropped or
-partially answered: every admitted request's future resolves with a
-verdict, an episode result, or the wave's exception, and
-:meth:`ServeBroker.stop` drains all in-flight checks before returning.
+image, whose frame is smaller than the model's output stride, or
+whose box is empty or leaves the frame, is shed before admission with
+``reason="invalid"``, and so is an episode step whose frames are not
+CHW float images with sides that are multiples of the stride; a shed
+request never joins a wave and cannot fail the requests batched with
+it.  A safety check is never silently dropped or partially answered:
+every admitted request's future resolves with a verdict, an episode
+result, or the wave's exception, and :meth:`ServeBroker.stop` drains
+all in-flight checks before returning.
 
 Waves execute on a dedicated single worker thread so the event loop
-stays responsive for admission while numpy crunches; multi-core scaling
-comes from the scheduler's persistent worker pool
-(``ServeConfig.workers`` / ``REPRO_SERVE_WORKERS``), not from thread
-fan-out.
+stays responsive for admission while numpy crunches.
 
-**Fault tolerance.**  Execution-time faults get the same
-no-silent-drop treatment as admission (see :mod:`repro.serve.faults`):
-
-* ``deadline_ms`` arms per-request deadlines on the monotonic clock —
-  a request that misses its deadline resolves with a typed
-  :class:`~repro.serve.faults.CheckTimedOut` whose ``verdict`` is a
-  conservative *reject* for zone checks (fail safe, never open).
-* A wave that dies in the worker pool (:class:`~repro.serve.faults.
-  WorkerPoolError`, i.e. worker deaths past the respawn budget) is
-  re-run on the **bit-identical inline path** — the engine's sharding
-  contract guarantees ``workers=N`` equals ``workers=1``, so degraded
-  answers are the same answers, just slower.
-* A :class:`~repro.serve.breaker.CircuitBreaker` counts consecutive
-  pool faults: after ``breaker_threshold`` of them the pool path is
-  bypassed entirely (every episode wave runs degraded) until
-  ``breaker_cooldown_s`` elapses, then a half-open probe re-forks the
-  pool and closes the breaker on success.
-
-``broker.stats`` extends the ledger accordingly: ``timed_out``,
-``pool_faults``, ``degraded_waves``, ``breaker_opens``, ``respawns``,
-``worker_deaths`` and ``tasks_resubmitted``.
+**Deadlines.**  ``ServeConfig.deadline_ms`` arms per-request deadlines
+on the monotonic clock.  A request that misses its deadline, whether
+still queued (``scope="admission"``) or in a wave that runs too long
+(``scope="wave"``), resolves with a typed
+:class:`~repro.serve.faults.CheckTimedOut` whose ``verdict`` is a
+conservative *reject* for zone checks (fail safe, never open); the
+ledger counts it in ``timed_out``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.engine import (
     _MONITOR_BATCHING,
@@ -67,46 +51,17 @@ from repro.core.engine import (
     EpisodeRequest,
     EpisodeScheduler,
 )
-from repro.core.monitor import check_zone_box
-from repro.serve.breaker import CircuitBreaker
-from repro.serve.faults import (
-    CheckTimedOut,
-    WorkerPoolError,
-    conservative_reject,
-)
-from repro.utils.validation import (
-    check_image_chw,
-    check_non_negative,
-    check_positive,
-)
+from repro.serve.faults import CheckTimedOut, conservative_reject
+from repro.utils.validation import check_positive
 
 __all__ = [
     "AdmissionRejected",
     "ServeBroker",
     "ServeConfig",
-    "serve_workers_default",
 ]
 
 #: Admission-queue sentinel that tells the broker loop to drain + exit.
 _SHUTDOWN = object()
-
-
-def serve_workers_default() -> int | None:
-    """Worker count requested via ``REPRO_SERVE_WORKERS``, or None.
-
-    The serving layer's deployment-time sizing toggle (a sanctioned env
-    read site, like the monitor toggles in :mod:`repro.core.monitor`):
-    ``ServeConfig`` reads it only when its ``workers`` field is left
-    unset, so explicit configuration always wins.
-    """
-    raw = os.environ.get("REPRO_SERVE_WORKERS", "").strip()
-    if not raw:
-        return None
-    value = int(raw)
-    if value < 1:
-        raise ValueError(
-            f"REPRO_SERVE_WORKERS must be >= 1, got {raw!r}")
-    return value
 
 
 class AdmissionRejected(RuntimeError):
@@ -116,9 +71,10 @@ class AdmissionRejected(RuntimeError):
     admitted, so a client always knows whether its safety check is in
     flight.  ``reason`` is ``"queue_full"`` (admission queue at
     ``queue_depth``), ``"shutdown"`` (broker stopping/stopped) or
-    ``"invalid"`` (a malformed image, or a zone box that is empty or
-    leaves the frame; ``detail`` says which); ``queue_depth`` echoes
-    the configured bound.
+    ``"invalid"`` (a request its wave could not serve: a malformed
+    image, a frame the model's output stride does not fit, or a zone
+    box that is empty or leaves the frame; ``detail`` says which);
+    ``queue_depth`` echoes the configured bound.
     """
 
     def __init__(self, reason: str, queue_depth: int, detail: str = ""):
@@ -156,20 +112,11 @@ class ServeConfig:
         chunk sweet spot (``EngineConfig.joint_max_batch``); larger
         waves only grow per-wave latency without stacking better.
     monitor_batching:
-        ``EngineConfig.monitor_batching`` for the broker's scheduler
-        when it runs single-process: ``"joint"`` (default; episode
-        steps share the stacked-pass machinery), ``"shared"`` or
-        ``"exact"``.  Ignored when the resolved worker count is > 1 —
-        worker sharding requires exact mode, so the broker switches to
-        it (zone-check waves always run jointly stacked either way,
-        via :meth:`EpisodeScheduler.check_zones_wave`).
-    workers:
-        Persistent worker processes for the backing scheduler
-        (``EngineConfig.workers``).  ``None`` (default) defers to the
-        ``REPRO_SERVE_WORKERS`` environment toggle and falls back to
-        ``1``; an explicit value always wins.  See
-        :attr:`ServeBroker.effective_workers` for the degree actually
-        achieved on this platform.
+        ``EngineConfig.monitor_batching`` for the broker's scheduler:
+        ``"joint"`` (default; episode steps share the stacked-pass
+        machinery), ``"shared"`` or ``"exact"``.  Zone-check waves
+        always run jointly stacked, via
+        :meth:`EpisodeScheduler.check_zones_wave`.
     deadline_ms:
         Per-request deadline in milliseconds on the monotonic clock,
         measured from admission.  ``None`` (default) disables
@@ -177,26 +124,14 @@ class ServeConfig:
         with a typed :class:`~repro.serve.faults.CheckTimedOut` —
         carrying a conservative *reject* verdict for zone checks — so
         a timed-out safety check fails safe, never open and never
-        silently.  The deadline is threaded down into
-        ``EngineConfig.deadline_ms`` so the pool can kill and replace
-        a worker hung on a task.
-    breaker_threshold:
-        Consecutive pool faults (worker-pool failures or pool-path
-        timeouts) that trip the circuit breaker into degraded mode.
-        Default 3.
-    breaker_cooldown_s:
-        Seconds the breaker stays open before a half-open recovery
-        probe is allowed back onto the pool path.  Default 30.
+        silently.
     """
 
     admission_window_ms: float = 2.0
     queue_depth: int = 64
     max_wave: int = 32
     monitor_batching: str = "joint"
-    workers: int | None = None
     deadline_ms: float | None = None
-    breaker_threshold: int = 3
-    breaker_cooldown_s: float = 30.0
 
     def __post_init__(self):
         if self.admission_window_ms < 0:
@@ -209,40 +144,12 @@ class ServeConfig:
             raise ValueError(
                 f"monitor_batching must be one of {_MONITOR_BATCHING}, "
                 f"got {self.monitor_batching!r}")
-        if self.workers is not None:
-            check_positive("workers", self.workers)
         if self.deadline_ms is not None:
             check_positive("deadline_ms", self.deadline_ms)
-        check_positive("breaker_threshold", self.breaker_threshold)
-        check_non_negative("breaker_cooldown_s",
-                           self.breaker_cooldown_s)
-
-    def resolved_workers(self) -> int:
-        """The worker count after the environment fallback."""
-        if self.workers is not None:
-            return self.workers
-        return serve_workers_default() or 1
 
     def engine_config(self, base: EngineConfig | None = None) -> EngineConfig:
-        """``base`` rewritten for this serve configuration.
-
-        Worker sharding requires ``monitor_batching="exact"`` (the
-        engine validates this), so a multi-worker broker always runs
-        its scheduler in exact mode; otherwise the broker's
-        ``monitor_batching`` choice is applied.
-        """
-        from dataclasses import replace
-
-        base = base if base is not None else EngineConfig()
-        if self.deadline_ms is not None:
-            # The pool enforces the same bound per task, so a worker
-            # hung on a request is killed instead of outliving it.
-            base = replace(base, deadline_ms=self.deadline_ms)
-        workers = self.resolved_workers()
-        if workers > 1:
-            return replace(base, workers=workers,
-                           monitor_batching="exact")
-        return replace(base, workers=1,
+        """``base`` with this serve configuration's ``monitor_batching``."""
+        return replace(base if base is not None else EngineConfig(),
                        monitor_batching=self.monitor_batching)
 
 
@@ -289,34 +196,13 @@ class ServeBroker:
             "episode_steps": 0,
             "wave_errors": 0,
             "timed_out": 0,
-            "pool_faults": 0,
-            "degraded_waves": 0,
-            "breaker_opens": 0,
-            "respawns": 0,
-            "worker_deaths": 0,
-            "tasks_resubmitted": 0,
         }
-        self._model = model
-        self._config = config
-        self._breaker = CircuitBreaker(self.serve.breaker_threshold,
-                                       self.serve.breaker_cooldown_s)
-        self._fallback: EpisodeScheduler | None = None
         self._queue: asyncio.Queue | None = None
         self._runner: asyncio.Task | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._accepting = False
 
-    @property
-    def breaker_state(self) -> str:
-        """``"closed"``, ``"open"`` or ``"half_open"``."""
-        return self._breaker.state
-
     # -- lifecycle -----------------------------------------------------
-    @property
-    def effective_workers(self) -> int:
-        """Worker processes the backing scheduler actually uses."""
-        return self.scheduler.effective_workers
-
     @property
     def running(self) -> bool:
         return self._runner is not None and not self._runner.done()
@@ -349,10 +235,6 @@ class ServeBroker:
                 self._runner = None
                 self._executor.shutdown(wait=True)
                 self._executor = None
-        if self._fallback is not None:
-            self._fallback.close()
-        self.scheduler.close()
-        self._sync_pool_stats()
 
     async def __aenter__(self) -> "ServeBroker":
         return await self.start()
@@ -366,15 +248,12 @@ class ServeBroker:
 
         Raises :class:`AdmissionRejected` (typed, immediate) when the
         admission queue is full, the broker is shutting down, or the
-        request is invalid (the monitor's own image and box checks).
+        request is invalid (:meth:`EpisodeScheduler.validate_zone`).
         """
         try:
-            check_image_chw("image", image)
-            check_zone_box(image, box)
+            self.scheduler.validate_zone(image, box)
         except ValueError as exc:
-            self.stats["rejected_invalid"] += 1
-            raise AdmissionRejected("invalid", self.serve.queue_depth,
-                                    detail=str(exc)) from None
+            raise self._invalid(exc) from None
         return await self._admit("zone", (image, box))
 
     async def check_zones(self, image, boxes) -> list:
@@ -383,10 +262,25 @@ class ServeBroker:
             *(self.check_zone(image, box) for box in boxes)))
 
     async def run_episode(self, frames, seed=0, name=""):
-        """One full episode step; resolves to an ``EpisodeResult``."""
-        request = EpisodeRequest(frames=tuple(frames), seed=seed,
-                                 name=name)
+        """One full episode step; resolves to an ``EpisodeResult``.
+
+        Raises :class:`AdmissionRejected` like :meth:`check_zone`; an
+        episode is invalid when ``EpisodeRequest`` or
+        :meth:`EpisodeScheduler.validate_episode` refuses it.
+        """
+        try:
+            request = EpisodeRequest(frames=tuple(frames), seed=seed,
+                                     name=name)
+            self.scheduler.validate_episode(request)
+        except ValueError as exc:
+            raise self._invalid(exc) from None
         return await self._admit("episode", request)
+
+    def _invalid(self, exc: ValueError) -> AdmissionRejected:
+        """Count one request shed as invalid; the typed rejection."""
+        self.stats["rejected_invalid"] += 1
+        return AdmissionRejected("invalid", self.serve.queue_depth,
+                                 detail=str(exc))
 
     def _admit(self, kind: str, payload) -> asyncio.Future:
         if not self._accepting or self._queue is None:
@@ -472,10 +366,11 @@ class ServeBroker:
         zones = [p for p in live if p.kind == "zone"]
         episodes = [p for p in live if p.kind == "episode"]
         if zones:
-            await self._zone_wave(zones, deadline_s)
+            await self._run_wave(zones, self.scheduler.check_zones_wave,
+                                 "zone_checks", deadline_s)
         if episodes:
-            await self._episode_wave(episodes, deadline_s)
-        self._sync_pool_stats()
+            await self._run_wave(episodes, self.scheduler.run,
+                                 "episode_steps", deadline_s)
 
     async def _call(self, fn, arg, timeout_s: float | None):
         """Run ``fn(arg)`` on the wave thread, deadline-bounded."""
@@ -501,104 +396,29 @@ class ServeBroker:
                         for p in pending)
         return max(remaining, 0.005)
 
-    async def _zone_wave(self, zones: list,
-                         deadline_s: float | None) -> None:
-        items = [p.payload for p in zones]
+    async def _run_wave(self, pending: list, fn, served: str,
+                        deadline_s: float | None) -> None:
+        """Run ``fn`` over ``pending``'s payloads; resolve every future.
+
+        ``served`` names the stats key counting the answered requests.
+        """
         try:
-            verdicts = await self._call(
-                self.scheduler.check_zones_wave, items,
-                self._wave_timeout(zones, deadline_s))
+            out = await self._call(fn, [p.payload for p in pending],
+                                   self._wave_timeout(pending, deadline_s))
         except asyncio.TimeoutError:
             # Inline compute cannot be killed; the wave thread will
             # finish (and its late results are discarded by the done()
             # guards) while the clients fail safe now.
-            for p in zones:
+            for p in pending:
                 self._timeout(p, scope="wave")
         except Exception as exc:  # noqa: BLE001 - resolves futures
             self.stats["wave_errors"] += 1
-            self._fail(zones, exc)
+            self._fail(pending, exc)
         else:
-            self.stats["zone_checks"] += len(zones)
-            for p, verdict in zip(zones, verdicts):
+            self.stats[served] += len(pending)
+            for p, result in zip(pending, out):
                 if not p.future.done():
-                    p.future.set_result(verdict)
-
-    async def _episode_wave(self, episodes: list,
-                            deadline_s: float | None) -> None:
-        requests = [p.payload for p in episodes]
-        timeout_s = self._wave_timeout(episodes, deadline_s)
-        use_pool = self.effective_workers > 1
-        degraded = use_pool and not self._breaker.allow()
-        if degraded:
-            self.stats["degraded_waves"] += 1
-        runner = self._fallback_run if degraded else self.scheduler.run
-        try:
-            out = await self._call(runner, requests, timeout_s)
-        except asyncio.TimeoutError:
-            if use_pool and not degraded:
-                self._pool_fault()
-            for p in episodes:
-                self._timeout(p, scope="wave")
-        except CheckTimedOut as exc:
-            # The pool's collect deadline fired: the hung worker was
-            # killed and respawned; the wave's requests fail safe.
-            if use_pool and not degraded:
-                self._pool_fault()
-            for p in episodes:
-                self._timeout(p, scope=exc.scope)
-        except WorkerPoolError:
-            # Pool broken past its respawn budget (the scheduler has
-            # already torn it down): count the fault, then serve this
-            # same wave on the bit-identical inline path — degraded,
-            # not dropped.
-            self._pool_fault()
-            self.stats["degraded_waves"] += 1
-            try:
-                out = await self._call(self._fallback_run, requests,
-                                       timeout_s)
-            except asyncio.TimeoutError:
-                for p in episodes:
-                    self._timeout(p, scope="wave")
-            except Exception as exc:  # noqa: BLE001 - resolves futures
-                self.stats["wave_errors"] += 1
-                self._fail(episodes, exc)
-            else:
-                self._resolve_episodes(episodes, out)
-        except Exception as exc:  # noqa: BLE001 - resolves futures
-            self.stats["wave_errors"] += 1
-            self._fail(episodes, exc)
-        else:
-            if use_pool and not degraded:
-                self._breaker.record_success()
-            self._resolve_episodes(episodes, out)
-
-    def _resolve_episodes(self, episodes: list, out: list) -> None:
-        self.stats["episode_steps"] += len(episodes)
-        for p, result in zip(episodes, out):
-            if not p.future.done():
-                p.future.set_result(result)
-
-    def _fallback_run(self, requests):
-        """Run one episode wave on the inline (workers=1) path.
-
-        The fallback scheduler shares the model and pipeline config
-        and keeps ``monitor_batching="exact"``, so by the engine's
-        sharding contract its results are bit-for-bit those the pool
-        path would have produced.  Built lazily on first degradation;
-        runs on the wave thread.
-        """
-        if self._fallback is None:
-            from dataclasses import replace
-
-            self._fallback = EpisodeScheduler(
-                self._model, config=self._config,
-                engine=replace(self.scheduler.engine, workers=1))
-        return self._fallback.run(requests)
-
-    def _pool_fault(self) -> None:
-        self.stats["pool_faults"] += 1
-        self._breaker.record_failure()
-        self.stats["breaker_opens"] = self._breaker.stats["opens"]
+                    p.future.set_result(result)
 
     def _timeout(self, p, scope: str) -> None:
         """Resolve one request as a typed, fail-safe timeout."""
@@ -610,17 +430,6 @@ class ServeBroker:
         if not p.future.done():
             p.future.set_exception(CheckTimedOut(
                 self.serve.deadline_ms or 0.0, scope, verdict))
-
-    def _sync_pool_stats(self) -> None:
-        """Mirror pool supervision counters into the broker ledger."""
-        totals = dict(self.scheduler.pool_stats_total)
-        pool = self.scheduler._pool
-        if pool is not None:
-            for key, value in pool.stats.items():
-                totals[key] = totals.get(key, 0) + value
-        self.stats["respawns"] = totals.get("respawns", 0)
-        self.stats["worker_deaths"] = totals.get("worker_deaths", 0)
-        self.stats["tasks_resubmitted"] = totals.get("resubmitted", 0)
 
     @staticmethod
     def _fail(pending: list, exc: BaseException) -> None:

@@ -1,24 +1,15 @@
-"""Typed fault outcomes of the serving layer.
+"""Typed deadline outcome of the serving layer.
 
 The backpressure contract of :mod:`repro.serve` says a safety check is
-*served or shed, never silently dropped*.  This module supplies the
-vocabulary that extends the contract past admission to execution-time
-faults:
-
-* :class:`CheckTimedOut` — a per-request deadline expired.  A timed-out
-  safety check must **fail safe, never fail open**: when the request
-  was a zone check, the exception carries a conservative *reject*
-  verdict (:func:`conservative_reject`) so even a caller that only
-  looks at ``exc.verdict.accepted`` sees "do not land here".
-* :class:`WorkerPoolError` — the persistent worker pool itself failed
-  (a worker died and the respawn budget was exhausted, or the pool was
-  closed underneath an in-flight wave).  The broker treats this as a
-  *pool fault*: the wave is re-run on the bit-identical inline path and
-  the circuit breaker counts the fault.
-
-Both are ``RuntimeError`` subclasses, so pre-existing callers that
-catch broad execution failures keep working; new callers can match on
-the type to branch on the failure mode.
+*served or shed, never silently dropped*.  This module extends the
+contract past admission to missed deadlines: :class:`CheckTimedOut`
+says a per-request deadline expired.  A timed-out safety check must
+**fail safe, never fail open**: when the request was a zone check, the
+exception carries a conservative *reject* verdict
+(:func:`conservative_reject`) so even a caller that only looks at
+``exc.verdict.accepted`` sees "do not land here".  It is a
+``RuntimeError`` subclass, so callers that catch broad execution
+failures keep working; new callers can match on the type.
 """
 
 from __future__ import annotations
@@ -29,7 +20,7 @@ from repro.core.monitor import ZoneVerdict
 from repro.segmentation.bayesian import PixelDistribution
 from repro.utils.geometry import Box
 
-__all__ = ["CheckTimedOut", "WorkerPoolError", "conservative_reject"]
+__all__ = ["CheckTimedOut", "conservative_reject"]
 
 
 def conservative_reject(box: Box) -> ZoneVerdict:
@@ -59,10 +50,9 @@ class CheckTimedOut(RuntimeError):
     """A safety check missed its deadline — resolved fail-safe.
 
     ``scope`` says which layer enforced the deadline: ``"admission"``
-    (the request expired before its wave was even assembled),
+    (the request expired before its wave was even assembled) or
     ``"wave"`` (the broker's monotonic-clock wrapper around wave
-    execution fired) or ``"task"`` (the pool's collect deadline killed
-    a hung worker).  ``verdict`` is the conservative reject for zone
+    execution fired).  ``verdict`` is the conservative reject for zone
     checks (see :func:`conservative_reject`) and ``None`` for episode
     steps, whose callers get no partial results by design.
     """
@@ -76,20 +66,3 @@ class CheckTimedOut(RuntimeError):
         self.scope = scope
         self.verdict = verdict
 
-
-class WorkerPoolError(RuntimeError):
-    """The persistent worker pool can no longer serve tasks.
-
-    ``reason`` is ``"respawn_budget_exhausted"`` (workers kept dying
-    past ``EngineConfig.max_respawns``) or ``"closed"`` (the pool was
-    shut down while a wave was in flight).  Whatever the reason, the
-    pool reclaims every in-flight :class:`~repro.serve.shm.FrameRing`
-    ticket before raising, so the ring's ledger stays balanced.
-    """
-
-    def __init__(self, reason: str, detail: str = ""):
-        message = f"persistent worker pool failed ({reason})"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-        self.reason = reason

@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis import lint_source
 from repro.analysis.checkers.engine_mode import EngineModeChecker
-from repro.analysis.checkers.fork_purity import ForkPurityChecker
 from repro.analysis.checkers.fp32 import Fp32FirewallChecker
 from repro.analysis.checkers.knobs import KnobSurfaceChecker
 from repro.analysis.checkers.monitor_rule import MonitorRuleChecker
@@ -225,7 +224,7 @@ class TestEngineModeHygiene:
         result = run(
             """
             import os
-            mode = os.environ.get("REPRO_SERVE_WORKERS")
+            mode = os.environ.get("REPRO_NEW_TOGGLE")
             other = os.getenv("REPRO_MONITOR_SHARED")
             """,
             "src/repro/core/new_module.py", tmp_path,
@@ -264,98 +263,6 @@ class TestEngineModeHygiene:
             "benchmarks/foo.py", tmp_path, EngineModeChecker())
         assert rules_of(result) == {"ENG-ENV-WRITE"}
         assert len(result.active) == 5
-
-
-class TestForkPoolPurity:
-    def test_task_global_assignment_flags(self, tmp_path):
-        result = run(
-            """
-            _COUNT = 0
-            def task(x):
-                global _COUNT
-                _COUNT = _COUNT + 1
-                return x
-            def run(pool, items):
-                return pool.map(task, items)
-            """,
-            "src/repro/core/foo.py", tmp_path, ForkPurityChecker())
-        assert rules_of(result) == {"FORK-GLOBAL-WRITE"}
-
-    def test_task_mutates_module_container_flags(self, tmp_path):
-        result = run(
-            """
-            _CACHE = {}
-            _LOG = []
-            def task(x):
-                _CACHE[x] = x * 2
-                _LOG.append(x)
-                return x
-            def run(pool, items):
-                return pool.map(task, items)
-            """,
-            "src/repro/core/foo.py", tmp_path, ForkPurityChecker())
-        assert len(result.active) == 2
-        assert rules_of(result) == {"FORK-GLOBAL-WRITE"}
-
-    def test_same_module_callee_checked(self, tmp_path):
-        result = run(
-            """
-            _STATE = {}
-            def helper(x):
-                _STATE["last"] = x
-            def task(x):
-                helper(x)
-                return x
-            def run(pool, items):
-                return pool.map(task, items)
-            """,
-            "src/repro/core/foo.py", tmp_path, ForkPurityChecker())
-        assert rules_of(result) == {"FORK-GLOBAL-WRITE"}
-
-    def test_process_target_counts_as_root(self, tmp_path):
-        result = run(
-            """
-            import multiprocessing as mp
-            _SEEN = []
-            def worker(q):
-                _SEEN.append(q.get())
-            def run(q):
-                p = mp.Process(target=worker, args=(q,))
-                p.start()
-            """,
-            "src/repro/core/foo.py", tmp_path, ForkPurityChecker())
-        assert rules_of(result) == {"FORK-GLOBAL-WRITE"}
-
-    def test_good_twin_silent(self, tmp_path):
-        # Reading a module global (the copy-on-write model) and
-        # returning mutated state with the result is the sanctioned
-        # pattern (_worker_episode_frame's RNG round-trip).
-        result = run(
-            """
-            _WORKER_MODEL = None
-            def task(payload):
-                state, frame = payload
-                local = {"state": state}
-                local["state"] = advance(local["state"])
-                return _WORKER_MODEL, local["state"]
-            def advance(state):
-                return state + 1
-            def run(pool, items):
-                return pool.map(task, items)
-            """,
-            "src/repro/core/foo.py", tmp_path, ForkPurityChecker())
-        assert not result.active
-
-    def test_non_task_functions_not_checked(self, tmp_path):
-        result = run(
-            """
-            _CACHE = {}
-            def memoise(x):
-                _CACHE[x] = x
-                return x
-            """,
-            "src/repro/core/foo.py", tmp_path, ForkPurityChecker())
-        assert not result.active
 
 
 class TestKnobSurface:

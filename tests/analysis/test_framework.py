@@ -144,6 +144,6 @@ class TestCli:
                      "FP32-FLOAT64", "FP32-DTYPELESS",
                      "FP32-ASTYPE-WIDEN", "ENG-ENV-READ",
                      "ENG-ENV-WRITE", "FP32-INT8-QUANT",
-                     "FORK-GLOBAL-WRITE", "KNOB-DOCSTRING",
-                     "KNOB-README", "MON-FAIL-OPEN"):
+                     "KNOB-DOCSTRING", "KNOB-README",
+                     "MON-FAIL-OPEN"):
             assert rule in out

@@ -82,30 +82,13 @@ def test_require_seed_documented_in_rng_rule():
     assert "rng-discipline" in rng_module.read_text()
 
 
-def test_serve_workers_toggle_documented_in_engine_mode_rule():
-    # Satellite contract (PR 9): the serving layer's worker-count
-    # toggle is a sanctioned environment read, the checker module
-    # documents the justification, and the broker module is the single
-    # read site (with ServeConfig as the explicit override).
-    from repro.analysis.checkers import engine_mode
-
-    assert "REPRO_SERVE_WORKERS" in (engine_mode.__doc__ or "")
-    assert "src/repro/serve/broker.py" in \
-        engine_mode.SANCTIONED_ENV_READERS
-    broker_module = REPO_ROOT / "src/repro/serve/broker.py"
-    assert "REPRO_SERVE_WORKERS" in broker_module.read_text()
-
-
-def test_env_read_outside_serve_broker_still_flagged():
-    # Mirror of the allowlist extension: the same read one file over
-    # is still a finding — the sanction covers broker.py only.
+def test_env_read_in_serve_broker_flagged():
+    # The broker reads no environment toggle, so a read there is a
+    # finding like anywhere else outside the sanctioned sites.
     source = "import os\nWORKERS = os.environ.get('X', '1')\n"
-    flagged = lint_source(source, "src/repro/serve/pool.py", REPO_ROOT)
+    flagged = lint_source(source, "src/repro/serve/broker.py",
+                          REPO_ROOT)
     assert any(f.rule == "ENG-ENV-READ" for f in flagged.active)
-    sanctioned = lint_source(source, "src/repro/serve/broker.py",
-                             REPO_ROOT)
-    assert not any(f.rule == "ENG-ENV-READ"
-                   for f in sanctioned.active)
 
 
 def test_env_read_in_nn_functional_flagged():

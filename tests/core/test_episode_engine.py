@@ -1,9 +1,9 @@
 """Tests for the streaming episode engine (EpisodeScheduler).
 
-The load-bearing contract: with the default exact mode (any worker
-count) the engine is *bit-for-bit* identical to the status quo — one
-``LandingPipeline.run`` call per frame per episode, each episode on its
-own seeded monitor RNG stream.
+The load-bearing contract: with the default exact mode the engine is
+*bit-for-bit* identical to the status quo — one ``LandingPipeline.run``
+call per frame per episode, each episode on its own seeded monitor RNG
+stream.
 """
 
 import numpy as np
@@ -113,27 +113,6 @@ class TestExactMode:
             assert len(ep.decisions) == len(ep.results)
 
 
-class TestWorkerSharding:
-    # The persistent pool (repro.serve.pool) behind workers=N keeps
-    # the original contract: any worker count bit-for-bit identical to
-    # the sequential loop.  Lifecycle/leak/stats regressions live in
-    # tests/serve/test_pool.py.
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_workers_bit_for_bit(self, tiny_system, workers):
-        episodes = _episodes(tiny_system)
-        config = tiny_system.pipeline_config()
-        reference = _sequential(tiny_system, config, episodes)
-        with EpisodeScheduler(
-                tiny_system.model, config,
-                engine=EngineConfig(workers=workers)) as scheduler:
-            out = scheduler.run(episodes)
-        for engine_ep, ref_ep in zip(out, reference):
-            assert len(engine_ep.results) == len(ref_ep)
-            for a, b in zip(engine_ep.results, ref_ep):
-                _assert_results_equal(a, b)
-
-
 class TestJointMode:
     def test_seeded_reproducible(self, tiny_system):
         episodes = _episodes(tiny_system)
@@ -188,12 +167,20 @@ class TestEngineConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="monitor_batching"):
             EngineConfig(monitor_batching="telepathic")
-        with pytest.raises(ValueError, match="exact"):
-            EngineConfig(monitor_batching="joint", workers=2)
         with pytest.raises(ValueError):
             EngineConfig(max_batch=0)
-        with pytest.raises(ValueError):
-            EngineConfig(workers=0)
+
+    @pytest.mark.parametrize("knob,value", [
+        ("max_batch", 0),
+        ("joint_max_batch", 0),
+        ("seg_max_batch", 0),
+        ("speculative_k", 0),
+        ("overlap_budget", -1.0),
+        ("monitor_batching", "adaptive"),
+    ])
+    def test_validation_names_the_knob(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            EngineConfig(**{knob: value})
 
     def test_speculative_override_routes_to_decision(self, tiny_system):
         scheduler = tiny_system.make_scheduler(
@@ -382,8 +369,6 @@ class TestSharedMode:
     def test_engine_config_validation(self):
         import pytest as _pytest
 
-        with _pytest.raises(ValueError, match="exact"):
-            EngineConfig(monitor_batching="shared", workers=2)
         with _pytest.raises(ValueError, match="overlap_budget"):
             EngineConfig(overlap_budget=0.0)
         cfg = EngineConfig(monitor_batching="shared")
@@ -535,3 +520,258 @@ class TestStackPassMoments:
         for call in calls:
             _assert_moments_equal(call["out"],
                                   _replay(tiny_system.model, call))
+
+
+_MODES = ("exact", "joint", "shared")
+
+
+def _monitored(system, frames=2):
+    """Pipeline config + episodes whose frames do get monitored."""
+    dense = TestSharedMode()
+    return (dense._config(system),
+            dense._dense_episodes(num=1, frames=frames))
+
+
+def _verdict_means(runs):
+    return [v.distribution.mean for ep in runs for r in ep.results
+            for v in r.verdicts]
+
+
+def _run_pair(scheduler, episodes):
+    """Two back-to-back runs of the same episodes on one scheduler."""
+    return [scheduler.run(episodes), scheduler.run(episodes)]
+
+
+def _assert_runs_equal(got, ref):
+    assert len(got) == len(ref)
+    for ep_a, ep_b in zip(got, ref):
+        assert len(ep_a.results) == len(ep_b.results)
+        for a, b in zip(ep_a.results, ep_b.results):
+            _assert_results_equal(a, b)
+
+
+class TestSchedulerIsolation:
+    """A scheduler owns all of its state: nothing outlives it, nothing
+    leaks between two schedulers, and exact-mode runs on one scheduler
+    do not depend on the runs before them."""
+
+    @pytest.mark.parametrize("mode", _MODES)
+    def test_no_model_reference_survives_the_scheduler(self, tiny_system,
+                                                       mode):
+        import copy
+        import gc
+        import weakref
+
+        import repro.core.engine as engine_mod
+
+        config, episodes = _monitored(tiny_system, frames=1)
+        model = copy.deepcopy(tiny_system.model)
+        ref = weakref.ref(model)
+        scheduler = EpisodeScheduler(
+            model, config, engine=EngineConfig(monitor_batching=mode),
+            rng=0)
+        out = scheduler.run(episodes)
+        assert _verdict_means(out)
+        assert not any(value is model
+                       for value in vars(engine_mod).values())
+        del scheduler, model
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("mode", _MODES)
+    def test_two_schedulers_interleave(self, tiny_system, mode):
+        """Two schedulers with *different* models, runs interleaved:
+        each answers exactly as it does on its own."""
+        import copy
+
+        config, episodes = _monitored(tiny_system, frames=1)
+        engine = EngineConfig(monitor_batching=mode)
+        model_a = tiny_system.model
+        model_b = copy.deepcopy(model_a)
+        for _, param in model_b.named_parameters():
+            param.data *= np.float32(0.8)
+
+        def alone(model):
+            return _run_pair(EpisodeScheduler(model, config,
+                                              engine=engine, rng=0),
+                             episodes)
+
+        ref_a, ref_b = alone(model_a), alone(model_b)
+        assert _verdict_means(ref_a[0]) and _verdict_means(ref_b[0])
+        sa = EpisodeScheduler(model_a, config, engine=engine, rng=0)
+        sb = EpisodeScheduler(model_b, config, engine=engine, rng=0)
+        for run in range(2):
+            _assert_runs_equal(sa.run(episodes), ref_a[run])
+            _assert_runs_equal(sb.run(episodes), ref_b[run])
+        # Sanity: the two models actually disagree somewhere.
+        assert any(
+            not np.array_equal(a.results[0].predicted_labels,
+                               b.results[0].predicted_labels)
+            for a, b in zip(ref_a[0], ref_b[0]))
+
+    def test_reused_exact_scheduler_repeats_itself(self, tiny_system):
+        """Exact mode draws only from per-episode seeds, so a second
+        run on the same scheduler equals the first and the loop."""
+        config, episodes = _monitored(tiny_system)
+        first, second = _run_pair(
+            EpisodeScheduler(tiny_system.model, config), episodes)
+        _assert_runs_equal(second, first)
+        for engine_ep, ref_ep in zip(
+                second, _sequential(tiny_system, config, episodes)):
+            for a, b in zip(engine_ep.results, ref_ep):
+                _assert_results_equal(a, b)
+
+    def test_reused_joint_scheduler_continues_its_stream(self,
+                                                         tiny_system):
+        """Joint mode keeps drawing from the scheduler's stream: a
+        fixed run sequence replays identically on a same-seed
+        scheduler, and run 2 does not rewind to run 1's draws."""
+        config, episodes = _monitored(tiny_system)
+        engine = EngineConfig(monitor_batching="joint")
+
+        def trace():
+            return _run_pair(EpisodeScheduler(
+                tiny_system.model, config, engine=engine, rng=3),
+                episodes)
+
+        first, second = trace()
+        again = trace()
+        _assert_runs_equal(first, again[0])
+        _assert_runs_equal(second, again[1])
+        means = [_verdict_means(run) for run in (first, second)]
+        assert means[0]
+        assert any(not np.array_equal(a, b) for a, b in zip(*means))
+
+    def test_stem_cache_is_scoped_to_one_run(self, tiny_system):
+        """Temporal stem reuse never reaches across runs: episode
+        indices name different streams in different runs, so a second
+        run of a static stream starts with a cold cache again."""
+        frame = tiny_system.test_samples[0].image
+        episodes = [EpisodeRequest(frames=[frame] * 3, seed=1,
+                                   name="static", drift_px=(0, 0))]
+        scheduler = EpisodeScheduler(
+            tiny_system.model, TestSharedMode()._config(tiny_system),
+            engine=EngineConfig(monitor_batching="shared",
+                                speculative_k=3), rng=0)
+        scheduler.run(episodes)
+        first = dict(scheduler.last_shared_stats)
+        scheduler.run(episodes)
+        assert first["stem_misses"] > 0
+        assert scheduler.last_shared_stats == first
+
+
+class TestEpisodeRequest:
+    def test_coerces_frames_and_drift(self, tiny_system):
+        frame = tiny_system.test_samples[0].image
+        request = EpisodeRequest(frames=[frame, frame],
+                                 drift_px=(np.int64(2), 3.0))
+        assert isinstance(request.frames, tuple)
+        assert len(request.frames) == 2
+        assert request.drift_px == (2, 3)
+        assert all(type(v) is int for v in request.drift_px)
+
+    @pytest.mark.parametrize("frame,match", [
+        (np.zeros((1, 8, 8), dtype=np.float32), "frames\\[0\\]"),
+        (np.zeros((8, 8), dtype=np.float32), "frames\\[0\\]"),
+        (np.zeros((3, 8, 8), dtype=np.uint8), "float"),
+    ])
+    def test_refuses_non_chw_float_frames(self, frame, match):
+        with pytest.raises(ValueError, match=match):
+            EpisodeRequest(frames=[frame])
+
+
+class TestAdmissionChecks:
+    """``validate_zone``/``validate_episode``: the one test a request
+    must pass before it may join a wave."""
+
+    @pytest.fixture()
+    def scheduler(self, tiny_system):
+        return tiny_system.make_scheduler()
+
+    def test_valid_zones_pass(self, tiny_system, scheduler):
+        from repro.utils.geometry import Box
+
+        frame = tiny_system.test_samples[0].image
+        h, w = frame.shape[-2:]
+        scheduler.validate_zone(frame, Box(0, 0, h, w))
+        scheduler.validate_zone(frame, Box(h - 1, w - 1, 1, 1))
+        stride = np.zeros((3, 4, 4), dtype=np.float32)
+        scheduler.validate_zone(stride, Box(0, 0, 4, 4))
+
+    @pytest.mark.parametrize("shape,dtype,box,match", [
+        ((3, 48, 64), np.float32, (2, 2, 0, 5), "empty"),
+        ((3, 48, 64), np.float32, (-6, -6, 12, 12), "not inside"),
+        ((3, 48, 64), np.float32, (42, 56, 12, 12), "not inside"),
+        ((48, 64), np.float32, (0, 0, 4, 4), "shape"),
+        ((7, 48, 64), np.float32, (0, 0, 4, 4), "shape"),
+        ((3, 48, 64), np.uint8, (0, 0, 4, 4), "float"),
+        ((3, 3, 40), np.float32, (0, 4, 3, 12), "stride"),
+        ((3, 40, 2), np.float32, (4, 0, 12, 2), "stride"),
+    ])
+    def test_invalid_zones_refused(self, scheduler, shape, dtype, box,
+                                   match):
+        from repro.utils.geometry import Box
+
+        image = np.zeros(shape, dtype=dtype)
+        with pytest.raises(ValueError, match=match):
+            scheduler.validate_zone(image, Box(*box))
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (3, 8, 12),
+                                       (3, 48, 64)])
+    def test_stride_multiple_episodes_pass(self, scheduler, shape):
+        frame = np.zeros(shape, dtype=np.float32)
+        scheduler.validate_episode(EpisodeRequest(frames=[frame] * 2))
+
+    @pytest.mark.parametrize("shapes,index", [
+        ([(3, 6, 6)], 0),
+        ([(3, 8, 8), (3, 5, 7)], 1),
+        ([(3, 8, 6)], 0),
+        ([(3, 2, 2)], 0),
+    ])
+    def test_episode_frame_off_the_stride_refused(self, scheduler,
+                                                  shapes, index):
+        request = EpisodeRequest(frames=[
+            np.zeros(shape, dtype=np.float32) for shape in shapes])
+        with pytest.raises(ValueError,
+                           match=f"frames\\[{index}\\].*stride"):
+            scheduler.validate_episode(request)
+
+    def test_wave_refuses_an_invalid_item_before_drawing(self,
+                                                         tiny_system):
+        """``check_zones_wave`` validates every item first: a bad item
+        raises, names its index, and consumes no joint randomness."""
+        from repro.utils.geometry import Box
+
+        frame = tiny_system.test_samples[0].image
+        good = [(frame, Box(0, 0, 12, 12)), (frame, Box(20, 30, 12, 12))]
+        scheduler = tiny_system.make_scheduler(rng=4)
+        with pytest.raises(ValueError, match="items\\[1\\]"):
+            scheduler.check_zones_wave(
+                [good[0], (frame[:1], Box(0, 0, 8, 8)), good[1]])
+        assert scheduler.check_zones_wave([]) == []
+        got = scheduler.check_zones_wave(good)
+        ref = tiny_system.make_scheduler(rng=4).check_zones_wave(good)
+        _assert_moments_equal([v.distribution for v in got],
+                              [v.distribution for v in ref])
+
+    def test_wave_groups_shapes_and_keeps_item_order(self, tiny_system):
+        """Mixed frame shapes run as one pass per shape, in
+        first-occurrence order; verdicts come back in item order."""
+        from repro.utils.geometry import Box
+
+        frame = tiny_system.test_samples[0].image
+        small = np.ascontiguousarray(frame[:, :32, :48])
+        a1, a2 = (frame, Box(4, 4, 12, 12)), (frame, Box(30, 40, 10, 14))
+        b1 = (small, Box(8, 8, 12, 12))
+        got = tiny_system.make_scheduler(rng=9).check_zones_wave(
+            [a1, b1, a2])
+        ref = tiny_system.make_scheduler(rng=9)
+        ref_a = ref.check_zones_wave([a1, a2])
+        ref_b = ref.check_zones_wave([b1])
+        expected = [ref_a[0], ref_b[0], ref_a[1]]
+        assert [v.box for v in got] == [a1[1], b1[1], a2[1]]
+        for v, e in zip(got, expected):
+            assert v.accepted == e.accepted
+            assert v.unsafe_fraction == e.unsafe_fraction
+        _assert_moments_equal([v.distribution for v in got],
+                              [v.distribution for v in expected])

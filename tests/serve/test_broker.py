@@ -1,19 +1,30 @@
-"""ServeBroker: admission batching, typed backpressure, determinism.
+"""ServeBroker: admission batching, typed backpressure, deadlines.
 
 The backpressure contract under test: a safety check is either served
-(its future resolves with a verdict/result) or shed at admission with
-a *typed* :class:`AdmissionRejected` — never silently dropped, never
-partially answered, including across graceful shutdown.
+(its future resolves with a verdict/result), shed at admission with a
+*typed* :class:`AdmissionRejected`, or failed safe with a typed
+:class:`CheckTimedOut` — never silently dropped, never partially
+answered, including across graceful shutdown.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
 
-from repro.core import EngineConfig, EpisodeScheduler, LandingPipeline
-from repro.serve import AdmissionRejected, ServeBroker, ServeConfig
-from repro.serve.broker import serve_workers_default
+from repro.core import (
+    EngineConfig,
+    EpisodeRequest,
+    EpisodeScheduler,
+    LandingPipeline,
+)
+from repro.serve import (
+    AdmissionRejected,
+    CheckTimedOut,
+    ServeBroker,
+    ServeConfig,
+)
 from repro.utils.geometry import Box
 
 
@@ -44,20 +55,12 @@ class TestServeConfig:
             ServeConfig(max_wave=0)
         with pytest.raises(ValueError, match="monitor_batching"):
             ServeConfig(monitor_batching="turbo")
-        with pytest.raises(ValueError, match="workers"):
-            ServeConfig(workers=0)
+        with pytest.raises(ValueError, match="deadline_ms"):
+            ServeConfig(deadline_ms=0.0)
 
     def test_engine_config_single_process(self):
-        engine = ServeConfig(monitor_batching="shared",
-                             workers=1).engine_config()
-        assert engine.workers == 1
+        engine = ServeConfig(monitor_batching="shared").engine_config()
         assert engine.monitor_batching == "shared"
-
-    def test_engine_config_workers_force_exact(self):
-        engine = ServeConfig(monitor_batching="joint",
-                             workers=3).engine_config()
-        assert engine.workers == 3
-        assert engine.monitor_batching == "exact"
 
     def test_engine_config_preserves_other_knobs(self):
         base = EngineConfig(max_batch=4, joint_max_batch=16)
@@ -65,18 +68,24 @@ class TestServeConfig:
         assert engine.max_batch == 4
         assert engine.joint_max_batch == 16
 
-    def test_workers_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_WORKERS", raising=False)
-        assert serve_workers_default() is None
-        assert ServeConfig().resolved_workers() == 1
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "2")
-        assert serve_workers_default() == 2
-        assert ServeConfig().resolved_workers() == 2
-        # An explicit choice always wins over the environment.
-        assert ServeConfig(workers=1).resolved_workers() == 1
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "0")
-        with pytest.raises(ValueError, match="REPRO_SERVE_WORKERS"):
-            serve_workers_default()
+    def test_accepts_boundary_values_and_is_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        serve = ServeConfig(admission_window_ms=0.0, queue_depth=1,
+                            max_wave=1, deadline_ms=0.5)
+        assert serve.deadline_ms == 0.5
+        assert ServeConfig().deadline_ms is None
+        with pytest.raises(FrozenInstanceError):
+            serve.queue_depth = 2
+
+    def test_engine_knobs_reach_the_scheduler(self, tiny_system):
+        broker = ServeBroker(
+            tiny_system.model, config=tiny_system.pipeline_config(),
+            engine=EngineConfig(max_batch=4, speculative_k=2),
+            serve=ServeConfig(monitor_batching="shared"))
+        assert broker.scheduler.engine.monitor_batching == "shared"
+        assert broker.scheduler.engine.max_batch == 4
+        assert broker.scheduler.config.decision.speculative_k == 2
 
 
 class TestZoneChecks:
@@ -158,32 +167,178 @@ class TestEpisodeSteps:
             for va, vb in zip(got.verdicts, ref.verdicts):
                 _assert_verdicts_equal(va, vb)
 
-    def test_sharded_broker_serves_identically(self, tiny_system):
-        """workers=2 behind the broker: same answers, sharded engine."""
-        from repro.serve.pool import fork_available
-
-        if not fork_available():
-            pytest.skip("requires fork")
-        frame = tiny_system.test_samples[0].image
+    @pytest.mark.parametrize("mode", ["exact", "joint", "shared"])
+    def test_serves_what_its_scheduler_would(self, tiny_system, mode):
+        """Whatever the batching mode, an episode step through the
+        broker is the backing scheduler's own run, bit for bit."""
+        frames = [tiny_system.test_samples[6].image,
+                  tiny_system.test_samples[0].image]
         config = tiny_system.pipeline_config()
-        pipeline = LandingPipeline(tiny_system.model, config, rng=5)
-        expected = [pipeline.run(frame)]
+        (expected,) = EpisodeScheduler(
+            tiny_system.model, config,
+            engine=EngineConfig(monitor_batching=mode), rng=2).run(
+                [EpisodeRequest(frames=frames, seed=4)])
+        assert any(r.verdicts for r in expected.results)
 
         async def scenario():
-            serve = ServeConfig(workers=2)
+            serve = ServeConfig(monitor_batching=mode)
             async with ServeBroker(tiny_system.model, config=config,
-                                   serve=serve) as broker:
-                assert broker.effective_workers == 2
-                assert broker.scheduler.engine.monitor_batching == \
-                    "exact"
-                return await broker.run_episode([frame], seed=5)
+                                   serve=serve, rng=2) as broker:
+                return await broker.run_episode(frames, seed=4)
 
         episode = asyncio.run(scenario())
-        for got, ref in zip(episode.results, expected):
+        assert len(episode.results) == len(expected.results)
+        for got, ref in zip(episode.results, expected.results):
             assert np.array_equal(got.predicted_labels,
                                   ref.predicted_labels)
+            assert got.decision.action is ref.decision.action
+            assert len(got.verdicts) == len(ref.verdicts)
             for va, vb in zip(got.verdicts, ref.verdicts):
                 _assert_verdicts_equal(va, vb)
+
+    def test_episode_name_round_trips(self, tiny_system):
+        frame = tiny_system.test_samples[0].image
+
+        async def scenario():
+            async with ServeBroker(
+                    tiny_system.model,
+                    config=tiny_system.pipeline_config()) as broker:
+                return (await broker.run_episode([frame], name="probe"),
+                        await broker.run_episode([frame]))
+
+        named, unnamed = asyncio.run(scenario())
+        assert named.name == "probe"
+        assert unnamed.name == "episode0"
+
+
+class TestWaves:
+    def test_mixed_wave_serves_zones_then_episodes(self, tiny_system):
+        """One wave holding both kinds runs its zone checks first and
+        its episode steps second, on the one joint RNG stream."""
+        frame = tiny_system.test_samples[6].image
+        boxes = _boxes(frame, 2)
+        config = tiny_system.pipeline_config()
+        direct = EpisodeScheduler(
+            tiny_system.model, config,
+            engine=EngineConfig(monitor_batching="joint"), rng=5)
+        zones = direct.check_zones_wave([(frame, b) for b in boxes])
+        (episode,) = direct.run([EpisodeRequest(frames=[frame],
+                                                seed=1)])
+        assert episode.results[0].verdicts
+
+        async def scenario():
+            serve = ServeConfig(admission_window_ms=200.0)
+            async with ServeBroker(tiny_system.model, config=config,
+                                   serve=serve, rng=5) as broker:
+                # The episode is submitted first: order of arrival
+                # inside a wave does not matter, the kind does.
+                out = await asyncio.gather(
+                    broker.run_episode([frame], seed=1),
+                    *(broker.check_zone(frame, b) for b in boxes))
+            return out, broker.stats
+
+        (got_episode, *got_zones), stats = asyncio.run(scenario())
+        assert stats["waves"] == 1
+        assert stats["zone_checks"] == 2 and stats["episode_steps"] == 1
+        for got, ref in zip(got_zones, zones):
+            _assert_verdicts_equal(got, ref)
+        for va, vb in zip(got_episode.results[0].verdicts,
+                          episode.results[0].verdicts):
+            _assert_verdicts_equal(va, vb)
+
+    def test_max_wave_caps_each_wave(self, tiny_system):
+        frame = tiny_system.test_samples[0].image
+        boxes = _boxes(frame, 5)
+
+        async def scenario():
+            serve = ServeConfig(admission_window_ms=200.0, max_wave=2)
+            async with ServeBroker(
+                    tiny_system.model,
+                    config=tiny_system.pipeline_config(),
+                    serve=serve) as broker:
+                await broker.check_zones(frame, boxes)
+            return broker.stats
+
+        stats = asyncio.run(scenario())
+        assert stats["max_wave"] == 2
+        assert stats["waves"] == 3
+        assert stats["zone_checks"] == stats["admitted"] == 5
+
+    def test_zero_window_serves_each_request_alone(self, tiny_system):
+        frame = tiny_system.test_samples[0].image
+        boxes = _boxes(frame, 3)
+
+        async def scenario():
+            serve = ServeConfig(admission_window_ms=0.0)
+            async with ServeBroker(
+                    tiny_system.model,
+                    config=tiny_system.pipeline_config(),
+                    serve=serve) as broker:
+                for box in boxes:
+                    await broker.check_zone(frame, box)
+            return broker.stats
+
+        stats = asyncio.run(scenario())
+        assert stats["waves"] == 3
+        assert stats["max_wave"] == 1
+        assert stats["zone_checks"] == 3
+
+    def test_start_is_idempotent(self, tiny_system):
+        frame = tiny_system.test_samples[0].image
+
+        async def scenario():
+            broker = ServeBroker(tiny_system.model,
+                                 config=tiny_system.pipeline_config())
+            await broker.start()
+            runner = broker._runner
+            assert await broker.start() is broker
+            assert broker._runner is runner
+            await broker.check_zone(frame, _boxes(frame, 1)[0])
+            await broker.stop()
+            assert not broker.running
+            return broker.stats
+
+        stats = asyncio.run(scenario())
+        assert stats["zone_checks"] == stats["admitted"] == 1
+
+    @pytest.mark.parametrize("broken", ["zone", "episode"])
+    def test_failing_kind_does_not_fail_the_other(self, tiny_system,
+                                                  broken):
+        """Zone checks and episode steps of one wave run as separate
+        passes: one kind's failure resolves only its own futures."""
+        frame = tiny_system.test_samples[0].image
+        boxes = _boxes(frame, 2)
+        attr = "check_zones_wave" if broken == "zone" else "run"
+
+        def fail(items):
+            raise RuntimeError(f"{broken} pass failed")
+
+        async def scenario():
+            serve = ServeConfig(admission_window_ms=200.0)
+            async with ServeBroker(
+                    tiny_system.model,
+                    config=tiny_system.pipeline_config(),
+                    serve=serve) as broker:
+                setattr(broker.scheduler, attr, fail)
+                out = await asyncio.gather(
+                    broker.run_episode([frame], seed=0),
+                    *(broker.check_zone(frame, b) for b in boxes),
+                    return_exceptions=True)
+            return out, broker.stats
+
+        (episode, *zones), stats = asyncio.run(scenario())
+        assert stats["waves"] == 1
+        assert stats["wave_errors"] == 1
+        if broken == "zone":
+            assert all(isinstance(z, RuntimeError) for z in zones)
+            assert len(episode.results) == 1
+            assert stats["episode_steps"] == 1
+            assert stats["zone_checks"] == 0
+        else:
+            assert isinstance(episode, RuntimeError)
+            assert all(hasattr(z, "accepted") for z in zones)
+            assert stats["zone_checks"] == 2
+            assert stats["episode_steps"] == 0
 
 
 class TestBackpressure:
@@ -337,3 +492,266 @@ class TestBackpressure:
                    not isinstance(o, AdmissionRejected)
                    for o in outcomes)
         assert stats["wave_errors"] >= 1
+
+
+class TestInvalidDetail:
+    def test_integer_frames_are_shed_as_invalid(self, tiny_system):
+        frame = tiny_system.test_samples[0].image
+        as_bytes = (frame * 255).astype(np.uint8)
+
+        async def scenario():
+            async with ServeBroker(
+                    tiny_system.model,
+                    config=tiny_system.pipeline_config()) as broker:
+                out = await asyncio.gather(
+                    broker.check_zone(as_bytes, _boxes(frame, 1)[0]),
+                    broker.run_episode([frame, as_bytes]),
+                    return_exceptions=True)
+            return out, broker.stats
+
+        out, stats = asyncio.run(scenario())
+        assert all(isinstance(o, AdmissionRejected)
+                   and o.reason == "invalid" for o in out)
+        assert "float" in str(out[0]) and "frames[1]" in str(out[1])
+        assert stats["rejected_invalid"] == 2
+        assert stats["admitted"] == 0
+
+    def test_rejection_says_why(self, tiny_system):
+        """The typed rejection carries the validation message, so a
+        client can tell a bad box from a frame the model cannot see."""
+        config = tiny_system.pipeline_config()
+        frame = tiny_system.test_samples[0].image
+
+        async def scenario():
+            serve = ServeConfig(queue_depth=5)
+            async with ServeBroker(tiny_system.model, config=config,
+                                   serve=serve) as broker:
+                out = []
+                for image, box in [
+                        (frame, Box(40, 60, 12, 12)),
+                        (np.zeros((3, 2, 2), np.float32),
+                         Box(0, 0, 2, 2))]:
+                    with pytest.raises(AdmissionRejected) as excinfo:
+                        await broker.check_zone(image, box)
+                    out.append(excinfo.value)
+                with pytest.raises(AdmissionRejected) as excinfo:
+                    await broker.run_episode(
+                        [np.zeros((3, 6, 6), np.float32)])
+                out.append(excinfo.value)
+            return out
+
+        box_exc, tiny_exc, episode_exc = asyncio.run(scenario())
+        for exc in (box_exc, tiny_exc, episode_exc):
+            assert exc.reason == "invalid"
+            assert exc.queue_depth == 5
+        assert "not inside" in str(box_exc)
+        assert "stride 4" in str(tiny_exc)
+        assert "frames[0] is 6x6" in str(episode_exc)
+
+
+class TestShedWhatTheWaveCannotServe:
+    """A request its wave could not serve is shed typed at admission,
+    so it never fails the requests batched with it."""
+
+    @pytest.mark.parametrize("shape,box", [
+        ((3, 2, 2), Box(0, 0, 2, 2)),     # both sides under the stride
+        ((3, 3, 40), Box(0, 4, 3, 12)),   # height under the stride
+    ])
+    def test_zone_frame_smaller_than_stride(self, tiny_system, shape,
+                                            box):
+        frame = tiny_system.test_samples[0].image
+        good = _boxes(frame, 2)
+        tiny = np.zeros(shape, dtype=np.float32)
+        config = tiny_system.pipeline_config()
+        expected = EpisodeScheduler(
+            tiny_system.model, config,
+            engine=EngineConfig(monitor_batching="joint"),
+            rng=0).check_zones_wave([(frame, b) for b in good])
+
+        async def scenario():
+            serve = ServeConfig(admission_window_ms=200.0)
+            async with ServeBroker(tiny_system.model, config=config,
+                                   serve=serve, rng=0) as broker:
+                outcomes = await asyncio.gather(
+                    broker.check_zone(frame, good[0]),
+                    broker.check_zone(tiny, box),
+                    broker.check_zone(frame, good[1]),
+                    return_exceptions=True)
+            return outcomes, broker.stats
+
+        outcomes, stats = asyncio.run(scenario())
+        assert isinstance(outcomes[1], AdmissionRejected)
+        assert outcomes[1].reason == "invalid"
+        for got, ref in zip([outcomes[0], outcomes[2]], expected):
+            _assert_verdicts_equal(got, ref)
+        assert stats["rejected_invalid"] == 1
+        assert stats["wave_errors"] == 0
+        assert stats["admitted"] == stats["zone_checks"] == 2
+
+    @pytest.mark.parametrize("shape", [
+        (3, 6, 6),   # sides not multiples of the stride
+        (3, 5, 7),
+        (1, 8, 8),   # not a CHW colour frame
+    ])
+    def test_episode_frame_segmentation_cannot_run(self, tiny_system,
+                                                   shape):
+        frame = tiny_system.test_samples[0].image
+        bad = np.zeros(shape, dtype=np.float32)
+        config = tiny_system.pipeline_config()
+        expected = LandingPipeline(tiny_system.model, config,
+                                   rng=1).run(frame)
+
+        async def scenario():
+            serve = ServeConfig(monitor_batching="exact",
+                                admission_window_ms=200.0)
+            async with ServeBroker(tiny_system.model, config=config,
+                                   serve=serve) as broker:
+                outcomes = await asyncio.gather(
+                    broker.run_episode([frame], seed=1),
+                    broker.run_episode([bad], seed=2),
+                    return_exceptions=True)
+            return outcomes, broker.stats
+
+        (episode, rejected), stats = asyncio.run(scenario())
+        assert isinstance(rejected, AdmissionRejected)
+        assert rejected.reason == "invalid"
+        (got,) = episode.results
+        assert np.array_equal(got.predicted_labels,
+                              expected.predicted_labels)
+        assert got.decision.action is expected.decision.action
+        assert len(got.verdicts) == len(expected.verdicts)
+        for va, vb in zip(got.verdicts, expected.verdicts):
+            _assert_verdicts_equal(va, vb)
+        assert stats["rejected_invalid"] == 1
+        assert stats["wave_errors"] == 0
+        assert stats["admitted"] == stats["episode_steps"] == 1
+
+
+class TestDeadlines:
+    def test_broker_zone_deadline_is_conservative_reject(
+            self, tiny_system):
+        """A zone check that misses its deadline fails SAFE: the typed
+        exception carries a reject verdict, never an accept."""
+        config = tiny_system.pipeline_config()
+        frame = tiny_system.test_samples[0].image
+        box = Box(2, 2, 10, 10)
+
+        async def scenario():
+            serve = ServeConfig(deadline_ms=200.0,
+                                admission_window_ms=0.0)
+            async with ServeBroker(tiny_system.model, config=config,
+                                   serve=serve) as broker:
+                original = broker.scheduler.check_zones_wave
+
+                def wedged(items):
+                    time.sleep(0.8)
+                    return original(items)
+
+                broker.scheduler.check_zones_wave = wedged
+                with pytest.raises(CheckTimedOut) as excinfo:
+                    await broker.check_zone(frame, box)
+            return excinfo.value, broker.stats
+
+        exc, stats = asyncio.run(scenario())
+        assert exc.scope == "wave"
+        assert exc.verdict is not None
+        assert exc.verdict.accepted is False
+        assert exc.verdict.unsafe_fraction == 1.0
+        assert exc.verdict.num_samples == 0  # a refusal, not a sample
+        assert stats["timed_out"] == 1
+        assert stats["zone_checks"] == 0
+        assert stats["admitted"] == 1  # ledger: admitted == timed out
+
+    def test_broker_episode_deadline_is_typed(self, tiny_system):
+        """An episode step whose inline wave overruns its deadline
+        resolves typed, with no partial result."""
+        config = tiny_system.pipeline_config()
+        frame = tiny_system.test_samples[0].image
+
+        async def scenario():
+            serve = ServeConfig(deadline_ms=200.0,
+                                admission_window_ms=0.0)
+            async with ServeBroker(tiny_system.model, config=config,
+                                   serve=serve) as broker:
+                original = broker.scheduler.run
+
+                def wedged(requests):
+                    time.sleep(0.8)
+                    return original(requests)
+
+                broker.scheduler.run = wedged
+                with pytest.raises(CheckTimedOut) as excinfo:
+                    await broker.run_episode([frame], seed=0)
+            return excinfo.value, broker.stats
+
+        exc, stats = asyncio.run(scenario())
+        assert exc.scope == "wave"
+        assert exc.verdict is None
+        assert stats["timed_out"] == 1
+        assert stats["episode_steps"] == 0
+        assert stats["admitted"] == 1
+
+    def test_request_expired_in_queue_costs_no_compute(self,
+                                                       tiny_system):
+        """An admission window longer than the deadline expires both
+        kinds before their wave is assembled: typed with scope
+        "admission", fail safe, and no pass is ever run."""
+        config = tiny_system.pipeline_config()
+        frame = tiny_system.test_samples[0].image
+        box = Box(2, 2, 10, 10)
+        calls = []
+
+        async def scenario():
+            serve = ServeConfig(deadline_ms=20.0,
+                                admission_window_ms=150.0)
+            async with ServeBroker(tiny_system.model, config=config,
+                                   serve=serve) as broker:
+                broker.scheduler.check_zones_wave = calls.append
+                broker.scheduler.run = calls.append
+                out = await asyncio.gather(
+                    broker.check_zone(frame, box),
+                    broker.run_episode([frame], seed=0),
+                    return_exceptions=True)
+            return out, broker.stats
+
+        (zone, episode), stats = asyncio.run(scenario())
+        assert calls == []
+        assert isinstance(zone, CheckTimedOut)
+        assert zone.scope == "admission"
+        assert zone.verdict.accepted is False
+        assert zone.verdict.box == box
+        assert isinstance(episode, CheckTimedOut)
+        assert episode.scope == "admission"
+        assert episode.verdict is None
+        assert stats["timed_out"] == stats["admitted"] == 2
+        assert stats["zone_checks"] == stats["episode_steps"] == 0
+
+    def test_deadline_met_serves_the_same_answer(self, tiny_system):
+        """A generous deadline changes nothing about the answer."""
+        config = tiny_system.pipeline_config()
+        frame = tiny_system.test_samples[6].image
+        boxes = _boxes(frame, 3)
+
+        def serve_with(deadline_ms):
+            async def scenario():
+                serve = ServeConfig(deadline_ms=deadline_ms,
+                                    admission_window_ms=100.0)
+                async with ServeBroker(tiny_system.model,
+                                       config=config, serve=serve,
+                                       rng=3) as broker:
+                    zones = await broker.check_zones(frame, boxes)
+                    episode = await broker.run_episode([frame], seed=2)
+                return zones, episode, broker.stats
+
+            return asyncio.run(scenario())
+
+        zones, episode, stats = serve_with(60_000.0)
+        ref_zones, ref_episode, _ = serve_with(None)
+        assert stats["timed_out"] == 0
+        assert stats["zone_checks"] == 3 and stats["episode_steps"] == 1
+        for got, ref in zip(zones, ref_zones):
+            _assert_verdicts_equal(got, ref)
+        (got,), (ref,) = episode.results, ref_episode.results
+        assert got.decision.action is ref.decision.action
+        for va, vb in zip(got.verdicts, ref.verdicts):
+            _assert_verdicts_equal(va, vb)
