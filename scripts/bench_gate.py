@@ -25,10 +25,11 @@ performance characteristic — never to quiet a failing gate.
 
 The gate also audits the *committed* full-scale summaries
 (``benchmarks/BENCH_*.json``): every one must carry
-``schema_version >= 2`` and a host fingerprint
-(``benchmarks/_bench_utils.write_bench_summary`` stamps both), so a
-committed number can always be traced to the machine class that
-produced it.
+``schema_version >= 2`` and a host fingerprint with the core count
+and the BLAS thread count
+(``benchmarks/_bench_utils.write_bench_summary`` stamps all three),
+so a committed number can always be traced to the machine class and
+the BLAS threading that produced it.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ SMOKE_DIR = BENCH_DIR / ".smoke"
 BASELINES = BENCH_DIR / "smoke_baselines.json"
 
 
-def check_committed_summaries(failures: list[str]) -> None:
-    """Committed BENCH_*.json must be schema >= 2 with a host stamp."""
-    for path in sorted(BENCH_DIR.glob("BENCH_*.json")):
+def check_committed_summaries(failures: list[str],
+                              bench_dir: Path = BENCH_DIR) -> None:
+    """``bench_dir``'s BENCH_*.json must be schema >= 2 with a host
+    stamp that names ``cpu_count`` and ``blas_threads``."""
+    for path in sorted(bench_dir.glob("BENCH_*.json")):
         name = path.name
         try:
             data = json.loads(path.read_text())
@@ -73,6 +76,11 @@ def check_committed_summaries(failures: list[str]) -> None:
             failures.append(
                 f"{name}: missing host fingerprint — committed "
                 "numbers must say which machine class produced them")
+        elif "blas_threads" not in host:
+            failures.append(
+                f"{name}: host fingerprint has no blas_threads — "
+                "regenerate with the current bench, so the number "
+                "says how many BLAS threads produced it")
 
 
 def main() -> int:

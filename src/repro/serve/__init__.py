@@ -6,8 +6,9 @@ streams inside one process.  This package is the *serving* layer on
 top of it:
 
 * :class:`ServeBroker` — an asyncio front-end accepting zone-check and
-  episode-step requests from many concurrent clients, micro-batching
-  them over a short admission window and feeding each admitted wave
+  episode-step requests from many concurrent clients.  It takes
+  everything already queued into one wave, closes the wave when
+  arrivals stop (capped by ``ServeConfig.max_wave``), and feeds it
   into one shared :class:`repro.core.engine.EpisodeScheduler` as a
   single joint pass.  Backpressure is explicit: the admission queue is
   bounded and an over-capacity or invalid request is *shed with a

@@ -3,9 +3,10 @@
 :class:`ServeBroker` is the front door of the serving layer.  Clients
 submit zone checks (``await broker.check_zone(image, box)``) or whole
 episode steps (``await broker.run_episode(frames, seed=...)``) from any
-number of concurrent coroutines; the broker micro-batches everything
-that arrives within a short **admission window** (a few milliseconds)
-into one *wave* and feeds the wave to a single shared
+number of concurrent coroutines; the broker takes everything already
+queued into one *wave*, closing it when arrivals stop (the queue is
+empty) or at ``ServeConfig.max_wave``, so requests that arrive while
+a wave runs form the next one.  It feeds each wave to a single shared
 :class:`repro.core.engine.EpisodeScheduler` — zone checks as one
 jointly seeded stacked pass (:meth:`EpisodeScheduler.check_zones_wave`),
 episode steps as one ``scheduler.run`` — so concurrency buys stacked
@@ -90,15 +91,12 @@ class AdmissionRejected(RuntimeError):
 class ServeConfig:
     """Admission-control and backend knobs of :class:`ServeBroker`.
 
+    A wave takes what is queued and closes as soon as the queue is
+    empty, so ``max_wave`` is the one cap on wave assembly; no timer
+    holds a request back.
+
     Attributes
     ----------
-    admission_window_ms:
-        How long (milliseconds) the broker keeps collecting requests
-        into the current wave after the first one arrives.  Default
-        2.0 — a couple of milliseconds buys most of the stacking win
-        (a stacked pass amortises per-forward overhead) while staying
-        far below a frame interval; ``0`` serves every request the
-        moment it is dequeued (no batching, lowest latency).
     queue_depth:
         Bound of the admission queue — the *explicit backpressure*
         knob.  A request arriving while ``queue_depth`` requests are
@@ -107,10 +105,11 @@ class ServeConfig:
         of queueing unboundedly or being dropped silently.  Default
         64.
     max_wave:
-        Cap on requests admitted into one wave, whatever the window
-        collects.  Default 32 — matches the joint pass's measured
-        chunk sweet spot (``EngineConfig.joint_max_batch``); larger
-        waves only grow per-wave latency without stacking better.
+        Cap on requests admitted into one wave, however many are
+        queued.  Default 32 — matches the joint
+        pass's measured chunk sweet spot
+        (``EngineConfig.joint_max_batch``); larger waves only grow
+        per-wave latency without stacking better.
     monitor_batching:
         ``EngineConfig.monitor_batching`` for the broker's scheduler:
         ``"joint"`` (default; episode steps share the stacked-pass
@@ -127,17 +126,12 @@ class ServeConfig:
         silently.
     """
 
-    admission_window_ms: float = 2.0
     queue_depth: int = 64
     max_wave: int = 32
     monitor_batching: str = "joint"
     deadline_ms: float | None = None
 
     def __post_init__(self):
-        if self.admission_window_ms < 0:
-            raise ValueError(
-                f"admission_window_ms must be >= 0, "
-                f"got {self.admission_window_ms}")
         check_positive("queue_depth", self.queue_depth)
         check_positive("max_wave", self.max_wave)
         if self.monitor_batching not in _MONITOR_BATCHING:
@@ -300,24 +294,17 @@ class ServeBroker:
 
     # -- admission loop ------------------------------------------------
     async def _run(self) -> None:
-        window_s = self.serve.admission_window_ms / 1000.0
-        loop = asyncio.get_running_loop()
         draining = False
         while not draining:
             item = await self._queue.get()
             if item is _SHUTDOWN:
                 break
             wave = [item]
-            deadline = loop.time() + window_s
             while len(wave) < self.serve.max_wave:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = await asyncio.wait_for(self._queue.get(),
-                                                 remaining)
-                except asyncio.TimeoutError:
-                    break
+                    nxt = self._queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    break  # arrivals stopped: close the wave
                 if nxt is _SHUTDOWN:
                     draining = True
                     break

@@ -66,8 +66,7 @@ async def _probe_broker(system, rng) -> dict:
     # Overload burst against a tiny queue: backpressure must shed with
     # typed rejections and every request must be accounted for.
     burst = ServeBroker(system.model, config=system.pipeline_config(),
-                        serve=ServeConfig(queue_depth=1, max_wave=1,
-                                          admission_window_ms=0.0),
+                        serve=ServeConfig(queue_depth=1, max_wave=1),
                         rng=rng)
     async with burst:
         outcomes = await asyncio.gather(

@@ -47,8 +47,6 @@ def _assert_verdicts_equal(a, b):
 
 class TestServeConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="admission_window_ms"):
-            ServeConfig(admission_window_ms=-1.0)
         with pytest.raises(ValueError, match="queue_depth"):
             ServeConfig(queue_depth=0)
         with pytest.raises(ValueError, match="max_wave"):
@@ -71,8 +69,7 @@ class TestServeConfig:
     def test_accepts_boundary_values_and_is_frozen(self):
         from dataclasses import FrozenInstanceError
 
-        serve = ServeConfig(admission_window_ms=0.0, queue_depth=1,
-                            max_wave=1, deadline_ms=0.5)
+        serve = ServeConfig(queue_depth=1, max_wave=1, deadline_ms=0.5)
         assert serve.deadline_ms == 0.5
         assert ServeConfig().deadline_ms is None
         with pytest.raises(FrozenInstanceError):
@@ -101,8 +98,7 @@ class TestZoneChecks:
             [(frame, box) for box in boxes])
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=200.0,
-                                max_wave=len(boxes))
+            serve = ServeConfig(max_wave=len(boxes))
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve, rng=0) as broker:
                 got = await broker.check_zones(frame, boxes)
@@ -115,27 +111,30 @@ class TestZoneChecks:
             _assert_verdicts_equal(a, b)
 
     def test_fixed_trace_is_seed_deterministic(self, tiny_system):
-        """Same seed + same request trace -> identical verdicts."""
+        """Same seed + same request trace -> identical verdicts and
+        identical waves: wave composition follows event-loop order,
+        not the wall clock."""
         frame = tiny_system.test_samples[0].image
         boxes = _boxes(frame, 5)
         config = tiny_system.pipeline_config()
 
         def run_trace():
             async def scenario():
-                serve = ServeConfig(admission_window_ms=200.0,
-                                    max_wave=4)
+                serve = ServeConfig(max_wave=4)
                 async with ServeBroker(tiny_system.model,
                                        config=config, serve=serve,
                                        rng=7) as broker:
                     first = await broker.check_zones(frame, boxes)
                     episode = await broker.run_episode([frame], seed=3)
                     second = await broker.check_zones(frame, boxes)
-                return first, episode, second
+                return first, episode, second, broker.stats
 
             return asyncio.run(scenario())
 
-        first_a, ep_a, second_a = run_trace()
-        first_b, ep_b, second_b = run_trace()
+        first_a, ep_a, second_a, stats_a = run_trace()
+        first_b, ep_b, second_b, stats_b = run_trace()
+        assert stats_a["waves"] == stats_b["waves"]
+        assert stats_a["max_wave"] == stats_b["max_wave"]
         for a, b in zip(first_a + second_a, first_b + second_b):
             _assert_verdicts_equal(a, b)
         assert len(ep_a.results) == len(ep_b.results)
@@ -227,9 +226,8 @@ class TestWaves:
         assert episode.results[0].verdicts
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=200.0)
             async with ServeBroker(tiny_system.model, config=config,
-                                   serve=serve, rng=5) as broker:
+                                   rng=5) as broker:
                 # The episode is submitted first: order of arrival
                 # inside a wave does not matter, the kind does.
                 out = await asyncio.gather(
@@ -251,7 +249,7 @@ class TestWaves:
         boxes = _boxes(frame, 5)
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=200.0, max_wave=2)
+            serve = ServeConfig(max_wave=2)
             async with ServeBroker(
                     tiny_system.model,
                     config=tiny_system.pipeline_config(),
@@ -264,16 +262,36 @@ class TestWaves:
         assert stats["waves"] == 3
         assert stats["zone_checks"] == stats["admitted"] == 5
 
-    def test_zero_window_serves_each_request_alone(self, tiny_system):
+    def test_wave_closes_when_arrivals_stop(self, tiny_system):
+        """A lone request is served within a few loop iterations: its
+        wave closes once a drain finds nothing new, not on a timer."""
+        frame = tiny_system.test_samples[0].image
+        box = _boxes(frame, 1)[0]
+
+        async def scenario():
+            async with ServeBroker(
+                    tiny_system.model,
+                    config=tiny_system.pipeline_config()) as broker:
+                pending = asyncio.ensure_future(
+                    broker.check_zone(frame, box))
+                for _ in range(8):
+                    await asyncio.sleep(0)
+                waves = broker.stats["waves"]
+                await pending
+            return waves, broker.stats
+
+        waves, stats = asyncio.run(scenario())
+        assert waves == 1
+        assert stats["zone_checks"] == stats["admitted"] == 1
+
+    def test_sequential_requests_are_served_alone(self, tiny_system):
         frame = tiny_system.test_samples[0].image
         boxes = _boxes(frame, 3)
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=0.0)
             async with ServeBroker(
                     tiny_system.model,
-                    config=tiny_system.pipeline_config(),
-                    serve=serve) as broker:
+                    config=tiny_system.pipeline_config()) as broker:
                 for box in boxes:
                     await broker.check_zone(frame, box)
             return broker.stats
@@ -314,11 +332,9 @@ class TestWaves:
             raise RuntimeError(f"{broken} pass failed")
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=200.0)
             async with ServeBroker(
                     tiny_system.model,
-                    config=tiny_system.pipeline_config(),
-                    serve=serve) as broker:
+                    config=tiny_system.pipeline_config()) as broker:
                 setattr(broker.scheduler, attr, fail)
                 out = await asyncio.gather(
                     broker.run_episode([frame], seed=0),
@@ -351,8 +367,7 @@ class TestBackpressure:
         total = 12
 
         async def scenario():
-            serve = ServeConfig(queue_depth=2, max_wave=1,
-                                admission_window_ms=0.0)
+            serve = ServeConfig(queue_depth=2, max_wave=1)
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve) as broker:
                 outcomes = await asyncio.gather(
@@ -382,7 +397,7 @@ class TestBackpressure:
         config = tiny_system.pipeline_config()
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=500.0, max_wave=2)
+            serve = ServeConfig(max_wave=2)
             broker = await ServeBroker(tiny_system.model,
                                        config=config,
                                        serve=serve).start()
@@ -444,9 +459,8 @@ class TestBackpressure:
         config = tiny_system.pipeline_config()
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=100.0)
-            async with ServeBroker(tiny_system.model, config=config,
-                                   serve=serve) as broker:
+            async with ServeBroker(tiny_system.model,
+                                   config=config) as broker:
                 outcomes = await asyncio.gather(
                     *(broker.check_zone(image, box)
                       for image, box in [(frame, good[0])] + bad
@@ -475,9 +489,8 @@ class TestBackpressure:
             raise RuntimeError("wave failed")
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=100.0)
-            async with ServeBroker(tiny_system.model, config=config,
-                                   serve=serve) as broker:
+            async with ServeBroker(tiny_system.model,
+                                   config=config) as broker:
                 monkeypatch.setattr(broker.scheduler, "check_zones_wave",
                                     broken_wave)
                 outcomes = await asyncio.gather(
@@ -569,9 +582,8 @@ class TestShedWhatTheWaveCannotServe:
             rng=0).check_zones_wave([(frame, b) for b in good])
 
         async def scenario():
-            serve = ServeConfig(admission_window_ms=200.0)
             async with ServeBroker(tiny_system.model, config=config,
-                                   serve=serve, rng=0) as broker:
+                                   rng=0) as broker:
                 outcomes = await asyncio.gather(
                     broker.check_zone(frame, good[0]),
                     broker.check_zone(tiny, box),
@@ -602,8 +614,7 @@ class TestShedWhatTheWaveCannotServe:
                                    rng=1).run(frame)
 
         async def scenario():
-            serve = ServeConfig(monitor_batching="exact",
-                                admission_window_ms=200.0)
+            serve = ServeConfig(monitor_batching="exact")
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve) as broker:
                 outcomes = await asyncio.gather(
@@ -637,8 +648,7 @@ class TestDeadlines:
         box = Box(2, 2, 10, 10)
 
         async def scenario():
-            serve = ServeConfig(deadline_ms=200.0,
-                                admission_window_ms=0.0)
+            serve = ServeConfig(deadline_ms=200.0)
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve) as broker:
                 original = broker.scheduler.check_zones_wave
@@ -669,8 +679,7 @@ class TestDeadlines:
         frame = tiny_system.test_samples[0].image
 
         async def scenario():
-            serve = ServeConfig(deadline_ms=200.0,
-                                admission_window_ms=0.0)
+            serve = ServeConfig(deadline_ms=200.0)
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve) as broker:
                 original = broker.scheduler.run
@@ -693,25 +702,28 @@ class TestDeadlines:
 
     def test_request_expired_in_queue_costs_no_compute(self,
                                                        tiny_system):
-        """An admission window longer than the deadline expires both
-        kinds before their wave is assembled: typed with scope
-        "admission", fail safe, and no pass is ever run."""
+        """A loop stalled past the deadline while both kinds wait in
+        the queue expires them before their wave is assembled: typed
+        with scope "admission", fail safe, and no pass is ever run."""
         config = tiny_system.pipeline_config()
         frame = tiny_system.test_samples[0].image
         box = Box(2, 2, 10, 10)
         calls = []
 
         async def scenario():
-            serve = ServeConfig(deadline_ms=20.0,
-                                admission_window_ms=150.0)
+            serve = ServeConfig(deadline_ms=20.0)
             async with ServeBroker(tiny_system.model, config=config,
                                    serve=serve) as broker:
                 broker.scheduler.check_zones_wave = calls.append
                 broker.scheduler.run = calls.append
-                out = await asyncio.gather(
-                    broker.check_zone(frame, box),
-                    broker.run_episode([frame], seed=0),
-                    return_exceptions=True)
+                pending = [
+                    asyncio.ensure_future(broker.check_zone(frame, box)),
+                    asyncio.ensure_future(
+                        broker.run_episode([frame], seed=0))]
+                await asyncio.sleep(0)  # both admitted, not yet served
+                time.sleep(0.05)  # stall the loop past the deadline
+                out = await asyncio.gather(*pending,
+                                           return_exceptions=True)
             return out, broker.stats
 
         (zone, episode), stats = asyncio.run(scenario())
@@ -734,8 +746,7 @@ class TestDeadlines:
 
         def serve_with(deadline_ms):
             async def scenario():
-                serve = ServeConfig(deadline_ms=deadline_ms,
-                                    admission_window_ms=100.0)
+                serve = ServeConfig(deadline_ms=deadline_ms)
                 async with ServeBroker(tiny_system.model,
                                        config=config, serve=serve,
                                        rng=3) as broker:
